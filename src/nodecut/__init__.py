@@ -67,11 +67,9 @@ from .linegraph import (
     back_projection,
     build_line_graph,
     check_equivalence,
-    incidence_matrix,
-    normalized_affiliation,
     phi,
 )
-from .psi import SubgraphState, make_state, psi, sigma_and_k_in
+from .psi import SubgraphState, psi, sigma_and_k_in
 
 __version__ = "0.1.0"
 
@@ -88,11 +86,8 @@ __all__ = [
     "psi",
     "sigma_and_k_in",
     "SubgraphState",
-    "make_state",
     "LineGraph",
     "build_line_graph",
-    "incidence_matrix",
-    "normalized_affiliation",
     "back_projection",
     "phi",
     "check_equivalence",

@@ -40,11 +40,10 @@ from .graph import (
     connected_components,
     induced_links,
     is_connected,
-    label_sort_key,
     load_edge_list,
 )
-from .greedy import Community, TieBreakPolicy, merge_trajectories, run_all_seeds, run_from_seed
-from .hierarchy import build_polyhierarchy, classify_overlap, dag_to_dot
+from .greedy import TieBreakPolicy, merge_trajectories, run_all_seeds, run_from_seed
+from .hierarchy import build_polyhierarchy, classify_overlap, cover_check, dag_to_dot
 from .landscape import DEFAULT_MAX_NODES, exact_local_minima, verify_local_minimum
 from .linegraph import build_line_graph, check_equivalence
 from .psi import psi
@@ -52,7 +51,11 @@ from .report import (
     build_report,
     communities_from_report,
     dumps_report,
+    link_label_pairs,
     load_report,
+    report_graph,
+    same_graph_size,
+    sorted_labels,
     trajectory_rows,
 )
 
@@ -175,7 +178,7 @@ def cmd_oracle(args) -> int:
     for nodes in minima:
         entries.append(
             {
-                "nodes": sorted((g.labels[i] for i in nodes), key=label_sort_key),
+                "nodes": sorted_labels(g, nodes),
                 "node_count": len(nodes),
                 "link_count": len(induced_links(g, nodes)),
                 "psi": float(f"{psi(g, nodes):.12g}"),
@@ -188,19 +191,14 @@ def cmd_oracle(args) -> int:
     }
     code = 0
     if args.compare:
-        report = _load_report_or_fail(args.compare)
-        if report["graph"]["n"] != g.n or report["graph"]["m"] != g.m:
+        report = load_report(args.compare)
+        if not same_graph_size(report, g):
             _fail(2, "compare", "report graph size does not match the input graph")
-        greedy_sets = {
-            frozenset(entry["nodes"]): entry["name"]
-            for entry in report["communities"]
-            if entry["node_count"] < g.n
-        }
-        exact_sets = {frozenset(e["nodes"]) for e in entries}
-        greedy_only = sorted(name for s, name in greedy_sets.items() if s not in exact_sets)
-        oracle_only = [
-            e["nodes"] for e in entries if frozenset(e["nodes"]) not in greedy_sets
-        ]
+        communities, names = communities_from_report(g, report)
+        greedy_sets = {c.nodes: name for c, name in zip(communities, names) if len(c.nodes) < g.n}
+        exact_sets = set(minima)
+        greedy_only = sorted(name for nodes, name in greedy_sets.items() if nodes not in exact_sets)
+        oracle_only = [e["nodes"] for nodes, e in zip(minima, entries) if nodes not in greedy_sets]
         doc["compare"] = {
             "matched": len(greedy_sets) - len(greedy_only),
             "greedy_only": greedy_only,
@@ -219,20 +217,9 @@ def cmd_oracle(args) -> int:
     return code
 
 
-def _load_report_or_fail(path: str) -> dict:
-    try:
-        return load_report(path)
-    except ReportError as exc:
-        _fail(2, "report", str(exc))
-
-
 def cmd_verify(args) -> int:
     g, _ = _load_graph(args)
-    report = _load_report_or_fail(args.report)
-    try:
-        communities, names = communities_from_report(g, report)
-    except (ReportError, KeyError) as exc:
-        _fail(2, "report", f"report does not match the graph: {exc}")
+    communities, names = communities_from_report(g, load_report(args.report))
     run_equivalence = args.equivalence or g.unit_weighted
     if args.equivalence and not g.unit_weighted:
         _fail(2, "weighted-unsupported", "line-graph equivalence is defined for unit weights only")
@@ -283,61 +270,25 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _report_communities_by_label(report: dict) -> tuple[list[Community], list[str], int]:
-    """Rebuild communities over synthetic indices taken from the report label list."""
-    labels = report["graph"]["labels"]
-    index = {lab: i for i, lab in enumerate(labels)}
-    link_ids: dict[tuple[int, int], int] = {}
-
-    def link_id(u: int, v: int) -> int:
-        key = (min(u, v), max(u, v))
-        return link_ids.setdefault(key, len(link_ids))
-
-    out = []
-    names = []
-    for entry in report["communities"]:
-        if entry["node_count"] >= len(labels):
-            continue  # an included ground state duplicates the DAG root
-        try:
-            nodes = frozenset(index[lab] for lab in entry["nodes"])
-            links = frozenset(link_id(index[u], index[v]) for u, v in entry["links"])
-            boundary = frozenset(index[lab] for lab in entry["boundary"])
-            names.append(str(entry["name"]))
-            out.append(
-                Community(
-                    nodes=nodes,
-                    links=links,
-                    psi=float(entry["psi"]),
-                    boundary=boundary,
-                    seed_count=int(entry.get("seed_count", 0)),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            _fail(2, "report", f"malformed community entry: {exc}")
-    return out, names, len(labels)
-
-
 def cmd_hierarchy(args) -> int:
-    report = _load_report_or_fail(args.report)
-    communities, names, n = _report_communities_by_label(report)
-    labels = report["graph"]["labels"]
-    dag = build_polyhierarchy(n, communities, names)
-    by_name = dict(zip(names, communities))
+    report = load_report(args.report)
+    g = report_graph(report)
+    communities, names = communities_from_report(g, report)
+    # an included ground state duplicates the DAG root
+    named = [(name, c) for name, c in zip(names, communities) if len(c.nodes) < g.n]
+    dag = build_polyhierarchy(g, [c for _, c in named], [name for name, _ in named])
     pairs = []
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            ca, cb = by_name[a], by_name[b]
+    for i, (a, ca) in enumerate(named):
+        for b, cb in named[i + 1 :]:
             rel = classify_overlap(ca, cb)
             pairs.append(
                 {
                     "a": a,
                     "b": b,
                     "kind": rel.kind,
-                    "shared_nodes": sorted(
-                        (labels[i2] for i2 in rel.shared_nodes), key=label_sort_key
-                    ),
-                    "shared_links": _shared_link_labels(report, a, b),
-                    "covers_graph": len(ca.nodes | cb.nodes) == n,
+                    "shared_nodes": sorted_labels(g, rel.shared_nodes),
+                    "shared_links": link_label_pairs(g, rel.shared_links),
+                    "covers_graph": cover_check(g, ca, cb),
                 }
             )
     doc = {
@@ -355,16 +306,6 @@ def cmd_hierarchy(args) -> int:
     elif not args.json:
         sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     return 0
-
-
-def _shared_link_labels(report: dict, a: str, b: str) -> list[list[str]]:
-    entries = {e["name"]: e for e in report["communities"]}
-    la = {tuple(p) for p in entries[a]["links"]}
-    lb = {tuple(p) for p in entries[b]["links"]}
-    return sorted(
-        [list(p) for p in la & lb],
-        key=lambda p: (label_sort_key(p[0]), label_sort_key(p[1])),
-    )
 
 
 def cmd_linegraph(args) -> int:
@@ -457,6 +398,9 @@ def main(argv=None) -> int:
     except DisconnectedGraph as exc:
         print(f"nodecut: error[disconnected-graph]: {exc}", file=sys.stderr)
         return 3
+    except ReportError as exc:
+        print(f"nodecut: error[report]: {exc}", file=sys.stderr)
+        return 2
     except NodeCutError as exc:
         print(f"nodecut: error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 2

@@ -122,8 +122,25 @@ def _label_key(g: Graph, i: int):
     return label_sort_key(g.labels[i])
 
 
-def _choose(g: Graph, cands: list[tuple[float, int]], rng: random.Random | None) -> tuple[float, int]:
-    """Best (delta, node) candidate, ties within MOVE_TOL broken per policy."""
+def _addition_candidates(state: SubgraphState) -> list[tuple[float, int]]:
+    """(psi change if added, node) for every frontier node of the current state."""
+    # sorted frontier: candidate order must not depend on set iteration order,
+    # or random tie-breaking would not be reproducible
+    value = state.psi
+    return [(state.psi_after_add(x) - value, x) for x in sorted(state.frontier)]
+
+
+def _select(
+    g: Graph, cands: list[tuple[float, int]], rng: random.Random | None, rank: int = 0
+) -> tuple[float, int]:
+    """Pick a (delta, node) candidate from a pre-scored list.
+
+    rank 0 takes the best, ties within MOVE_TOL broken per policy; a higher
+    rank takes that place in the (delta, label) order, clamped to the last.
+    """
+    if rank:
+        ordered = sorted(cands, key=lambda c: (c[0], _label_key(g, c[1])))
+        return ordered[min(rank, len(ordered) - 1)]
     best = min(d for d, _ in cands)
     tied = [c for c in cands if c[0] <= best + MOVE_TOL]
     if rng is not None and len(tied) > 1:
@@ -131,11 +148,8 @@ def _choose(g: Graph, cands: list[tuple[float, int]], rng: random.Random | None)
     return min(tied, key=lambda c: _label_key(g, c[1]))
 
 
-def _addition_candidates(state: SubgraphState) -> list[tuple[float, int]]:
-    # sorted frontier: candidate order must not depend on set iteration order,
-    # or random tie-breaking would not be reproducible
-    value = state.psi
-    return [(state.psi_after_add(x) - value, x) for x in sorted(state.frontier)]
+def _downhill(cands: list[tuple[float, int]]) -> bool:
+    return bool(cands) and min(d for d, _ in cands) < -MOVE_TOL
 
 
 def best_addition(
@@ -144,7 +158,7 @@ def best_addition(
     """External neighbor whose addition changes the cut the least (most downhill first)."""
     if not state.frontier:
         raise NoFrontier("subgraph already covers its component")
-    d, x = _choose(state.g, _addition_candidates(state), rng)
+    d, x = _select(state.g, _addition_candidates(state), rng)
     return x, d
 
 
@@ -203,24 +217,17 @@ def escape_step(state: SubgraphState, rng: random.Random | None = None, rank: in
     """Add the neighbor with the smallest cut increase; rank picks worse ties on revisits."""
     if not state.frontier:
         raise NoFrontier("subgraph already covers its component")
-    if rank == 0:
-        x, _ = best_addition(state, rng)
-    else:
-        cands = sorted(
-            _addition_candidates(state),
-            key=lambda c: (c[0], _label_key(state.g, c[1])),
-        )
-        x = cands[min(rank, len(cands) - 1)][1]
+    _, x = _select(state.g, _addition_candidates(state), rng, rank)
     state.apply_add(x)
     return x
 
 
-def _has_downhill_addition(state: SubgraphState) -> bool:
-    return bool(state.frontier) and min(d for d, _ in _addition_candidates(state)) < -MOVE_TOL
-
-
 def run_from_seed(g: Graph, link_id: int, policy: TieBreakPolicy | None = None) -> Trajectory:
-    """Run the full descent/prune/escape search from one seed link."""
+    """Run the full descent/prune/escape search from one seed link.
+
+    Each state's frontier is scored once: cands holds the current state's
+    scores and is rebuilt after every add, removing prune and recompute.
+    """
     policy = policy or TieBreakPolicy()
     rng = policy.rng_for(link_id)
     u, v = g.link_ends[link_id]
@@ -237,16 +244,22 @@ def run_from_seed(g: Graph, link_id: int, policy: TieBreakPolicy | None = None) 
         step_no += 1
         steps.append((step_no, action, node, state.psi, len(state.members)))
 
+    def add(cands, rank=0):
+        _, x = _select(g, cands, rng, rank)
+        state.apply_add(x)
+        log("add", x)
+        return _addition_candidates(state)
+
+    cands = _addition_candidates(state)
     while True:
         # settle into a local minimum: descend, prune, re-descend
         while True:
-            while _has_downhill_addition(state):
-                x, _ = best_addition(state, rng)
-                state.apply_add(x)
-                log("add", x)
+            while _downhill(cands):
+                cands = add(cands)
             if not prune(state, rng, on_move=log):
                 break
-            if not _has_downhill_addition(state):
+            cands = _addition_candidates(state)
+            if not _downhill(cands):
                 break
         exact = state.recompute()  # recorded values never carry incremental drift
         key = state.nodes()
@@ -266,9 +279,9 @@ def run_from_seed(g: Graph, link_id: int, policy: TieBreakPolicy | None = None) 
                 covers_graph=len(key) == g.n,
             )
         # climb out of the hollow, then fall into the next one
-        log("add", escape_step(state, rng, rank=seen))
-        while state.frontier and not _has_downhill_addition(state):
-            log("add", escape_step(state, rng))
+        cands = add(_addition_candidates(state), rank=seen)
+        while cands and not _downhill(cands):
+            cands = add(cands)
         phases += 1
         if phases > max_phases:
             raise OscillationError(
@@ -309,7 +322,7 @@ def run_all_seeds(
     community. Result order and content do not depend on jobs.
     """
     policy = policy or TieBreakPolicy()
-    if g.n and len(connected_components(g)) > 1 and not allow_disconnected:
+    if not allow_disconnected and g.n and len(connected_components(g)) > 1:
         raise DisconnectedGraph(
             "input graph is disconnected; runs would be confined to seed components"
         )

@@ -13,8 +13,6 @@ between the line-graph cut and the normalised node cut.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import EmptyCut, WeightedUnsupported, ZeroInternalDegree
 from .graph import Graph, induced_links
 from .psi import psi
@@ -22,8 +20,6 @@ from .psi import psi
 __all__ = [
     "LineGraph",
     "build_line_graph",
-    "incidence_matrix",
-    "normalized_affiliation",
     "back_projection",
     "phi",
     "check_equivalence",
@@ -55,13 +51,6 @@ class LineGraph:
                 if l >= k:
                     yield k, l, w
 
-    def dense(self) -> np.ndarray:
-        out = np.zeros((self.m, self.m))
-        for k, row in enumerate(self.rows):
-            for l, w in row.items():
-                out[k, l] = w
-        return out
-
 
 def build_line_graph(g: Graph) -> LineGraph:
     """Line-graph adjacency E with entries 1/k_i per shared endpoint, diagonal included."""
@@ -75,23 +64,6 @@ def build_line_graph(g: Graph) -> LineGraph:
             for l in incident:
                 row[l] = row.get(l, 0.0) + inv
     return LineGraph(g.m, rows)
-
-
-def incidence_matrix(g: Graph) -> np.ndarray:
-    """Dense n x m binary node-link incidence matrix B."""
-    _require_unit_weights(g)
-    b = np.zeros((g.n, g.m))
-    for lid, (u, v) in enumerate(g.link_ends):
-        b[u, lid] = 1.0
-        b[v, lid] = 1.0
-    return b
-
-
-def normalized_affiliation(g: Graph) -> np.ndarray:
-    """Incidence matrix with each row divided by sqrt(k_i); rows have unit norm."""
-    b = incidence_matrix(g)
-    scale = 1.0 / np.sqrt(np.asarray(g.degrees))
-    return b * scale[:, None]
 
 
 def back_projection(g: Graph) -> dict[tuple[int, int], float]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from .errors import NotAMember, NotANeighbor, ZeroInternalDegree
 from .graph import Graph
 
-__all__ = ["psi", "sigma_and_k_in", "SubgraphState", "make_state"]
+__all__ = ["psi", "sigma_and_k_in", "SubgraphState"]
 
 
 def sigma_and_k_in(g: Graph, nodes) -> tuple[float, float]:
@@ -183,8 +183,3 @@ class SubgraphState:
         """Force a from-scratch refresh of all caches; returns the exact psi."""
         self._rebuild()
         return self.psi
-
-
-def make_state(g: Graph, nodes) -> SubgraphState:
-    """Build a SubgraphState with all caches computed from scratch."""
-    return SubgraphState(g, nodes)

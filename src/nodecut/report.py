@@ -12,7 +12,11 @@ __all__ = [
     "build_report",
     "dumps_report",
     "load_report",
+    "report_graph",
+    "same_graph_size",
     "communities_from_report",
+    "sorted_labels",
+    "link_label_pairs",
     "trajectory_rows",
 ]
 
@@ -24,11 +28,13 @@ def _round12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _sorted_labels(g: Graph, indices) -> list[str]:
+def sorted_labels(g: Graph, indices) -> list[str]:
+    """Labels of node indices in label order."""
     return sorted((g.labels[i] for i in indices), key=label_sort_key)
 
 
-def _link_pairs(g: Graph, link_ids) -> list[list[str]]:
+def link_label_pairs(g: Graph, link_ids) -> list[list[str]]:
+    """[u, v] label pairs of link ids, each pair and the list in label order."""
     pairs = []
     for lid in link_ids:
         u, v = g.link_label_pair(lid)
@@ -41,12 +47,12 @@ def _link_pairs(g: Graph, link_ids) -> list[list[str]]:
 def community_entry(g: Graph, name: str, c: Community) -> dict:
     return {
         "name": name,
-        "nodes": _sorted_labels(g, c.nodes),
+        "nodes": sorted_labels(g, c.nodes),
         "node_count": len(c.nodes),
-        "links": _link_pairs(g, c.links),
+        "links": link_label_pairs(g, c.links),
         "link_count": len(c.links),
         "psi": _round12(c.psi),
-        "boundary": _sorted_labels(g, c.boundary),
+        "boundary": sorted_labels(g, c.boundary),
         "seed_count": c.seed_count,
         "stability": None if c.stability is None else _round12(c.stability),
     }
@@ -149,6 +155,11 @@ def dumps_report(report: dict) -> str:
 
 
 def load_report(path: str) -> dict:
+    """Read a report and check the structure every reader of it relies on.
+
+    Raises ReportError when the file is unreadable or not JSON, or lacks the
+    graph block (integer n and m, a labels list) or the communities list.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             report = json.load(fh)
@@ -156,31 +167,73 @@ def load_report(path: str) -> dict:
         raise ReportError(f"cannot read report {path}: {exc}") from exc
     if not isinstance(report, dict) or "communities" not in report or "graph" not in report:
         raise ReportError(f"report {path} lacks required keys")
+    graph = report["graph"]
+    if not isinstance(graph, dict):
+        raise ReportError(f"report {path}: graph is not an object")
+    for key, kind in (("n", int), ("m", int), ("labels", list)):
+        if not isinstance(graph.get(key), kind) or isinstance(graph[key], bool):
+            raise ReportError(f"report {path}: graph.{key} is missing or not a {kind.__name__}")
+    if not isinstance(report["communities"], list):
+        raise ReportError(f"report {path}: communities is not a list")
     return report
 
 
+def report_graph(report: dict) -> Graph:
+    """Stand-in for a report's input graph: its labels and the links its communities name.
+
+    Enough for communities_from_report, which rejects the malformed entries
+    skipped here; weights and degrees are not the input graph's.
+    """
+    labels = report["graph"]["labels"]
+    index = {str(lab): i for i, lab in enumerate(labels)}
+    pairs = set()
+    for entry in report["communities"]:
+        try:
+            for u, v in entry["links"]:
+                i, j = sorted((index[u], index[v]))
+                if i < j:
+                    pairs.add((i, j))
+        except (KeyError, TypeError, ValueError):
+            continue
+    return Graph(labels, [(i, j, 1.0) for i, j in sorted(pairs)])
+
+
+def same_graph_size(report: dict, g: Graph) -> bool:
+    """True when a loaded report was made on a graph with g's node and link counts."""
+    return report["graph"]["n"] == g.n and report["graph"]["m"] == g.m
+
+
 def communities_from_report(g: Graph, report: dict) -> tuple[list[Community], list[str]]:
-    """Reconstruct Community records (indices against g) from a report document."""
+    """Community records (indices against g) and names of a loaded report.
+
+    The only reader of community entries. Raises ReportError when an entry
+    is malformed, two entries share a name, or an entry names a node or a
+    link that g lacks.
+    """
     out = []
     names = []
-    try:
-        for entry in report["communities"]:
-            nodes = frozenset(g.index_of(lab) for lab in entry["nodes"])
-            links = frozenset(g.find_link(u, v) for u, v in entry["links"])
-            boundary = frozenset(g.index_of(lab) for lab in entry["boundary"])
+    seen = set()
+    for k, entry in enumerate(report["communities"]):
+        try:
+            name = str(entry["name"])
             out.append(
                 Community(
-                    nodes=nodes,
-                    links=links,
+                    nodes=frozenset(g.index_of(lab) for lab in entry["nodes"]),
+                    links=frozenset(g.find_link(u, v) for u, v in entry["links"]),
                     psi=float(entry["psi"]),
-                    boundary=boundary,
+                    boundary=frozenset(g.index_of(lab) for lab in entry["boundary"]),
                     seed_count=int(entry.get("seed_count", 0)),
                     stability=entry.get("stability"),
                 )
             )
-            names.append(str(entry["name"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ReportError(f"malformed community entry: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ReportError(
+                f"community entry {k} is malformed or not in the graph: {exc}"
+            ) from exc
+        if name in seen:
+            raise ReportError(f"duplicate community name {name!r}")
+        seen.add(name)
+        names.append(name)
     return out, names
 
 

@@ -249,12 +249,80 @@ def test_verify_weighted_equivalence_refused(tmp_path, capsys):
     assert "error[weighted-unsupported]" in err
 
 
-def test_verify_malformed_report_exit_2(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{\"not\": \"a report\"}")
-    code, _, err = run_cli(["verify", "--dataset", "karate", "--report", str(bad)], capsys)
+_DELETE = object()
+
+
+def _edit(*path, value=_DELETE):
+    """Report edit that deletes the item at path, or sets it to value."""
+    *parents, key = path
+
+    def edit(report):
+        target = report
+        for p in parents:
+            target = target[p]
+        if value is _DELETE:
+            del target[key]
+        else:
+            target[key] = value
+        return report
+
+    return edit
+
+
+MALFORMED_REPORTS = {
+    "not-a-report": lambda report: {"not": "a report"},
+    "no-graph-labels": _edit("graph", "labels"),
+    "communities-not-a-list": lambda report: dict(
+        report, communities={c["name"]: c for c in report["communities"]}
+    ),
+    "entry-without-name": _edit("communities", 0, "name"),
+    "no-graph-n": _edit("graph", "n"),
+    "duplicate-name": _edit("communities", 1, "name", value="C1"),
+    "node-not-in-graph": _edit("communities", 0, "nodes", value=["1", "2", "3", "99"]),
+}
+
+REPORT_COMMANDS = {
+    "verify": lambda edges, report: ["verify", edges, "--report", report],
+    "hierarchy": lambda edges, report: ["hierarchy", "--report", report],
+    "oracle": lambda edges, report: ["oracle", edges, "--compare", report],
+}
+
+
+def _two_triangle_report(tmp_path):
+    edges = tmp_path / "twotri.edges"
+    edges.write_text(TWO_TRIANGLES)
+    report = tmp_path / "report.json"
+    assert cli.main(["detect", str(edges), "--out", str(report)]) == 0
+    return edges, report
+
+
+def _assert_report_error(code, err):
     assert code == 2
-    assert "error[report]" in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("nodecut: error[report]: "), err
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_COMMANDS))
+@pytest.mark.parametrize("shape", list(MALFORMED_REPORTS))
+def test_verify_malformed_report_exit_2(tmp_path, capsys, command, shape):
+    edges, report_path = _two_triangle_report(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(MALFORMED_REPORTS[shape](json.loads(report_path.read_text()))))
+    capsys.readouterr()
+    code, _, err = run_cli(REPORT_COMMANDS[command](str(edges), str(bad)), capsys)
+    _assert_report_error(code, err)
+
+
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+def test_report_link_not_in_graph_exit_2(tmp_path, capsys, command):
+    edges, report_path = _two_triangle_report(tmp_path)
+    report = json.loads(report_path.read_text())
+    report["communities"][0]["links"].append(["1", "6"])
+    report_path.write_text(json.dumps(report))
+    capsys.readouterr()
+    code, out, err = run_cli(REPORT_COMMANDS[command](str(edges), str(report_path)), capsys)
+    _assert_report_error(code, err)
+    assert out == ""
 
 
 def test_hierarchy_outputs(karate_report, tmp_path, capsys):

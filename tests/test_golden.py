@@ -1,0 +1,61 @@
+"""Byte-identity of the karate outputs, pinned as sha256 digests.
+
+The all-seeds report is hashed without --trajectories (that option writes
+its directory into the report); the trajectory CSVs are hashed as one
+stream of (file name, contents) in file-name order. A change to these
+digests is a change of output, not a refactoring.
+"""
+
+import hashlib
+
+import pytest
+
+from nodecut import cli
+
+REPORT_SHA256 = {
+    "det": "5472358aff557bc347634e13c4094fcd8808eb124a0ea7c33ea7654fb3db9219",
+    "rng-1": "7cce26aae4bbc25ce8041848e6626dff00d6d3ac4e453155cfe4019b76493ecb",
+}
+TRAJECTORIES_SHA256 = {
+    "det": "21f439d7ce4c700cd3acf9d57134c8d918c42748c73b845877e87c2bb3005850",
+    "rng-1": "c8e82439dfb5c2c78b36103295e81d25d39f77723b4f2526e3bb03cb959dc159",
+}
+HIERARCHY_JSON_SHA256 = "c0f37a7f0b8ff9fa791babbda93de7d6b12a8746a869f9334601aa249000d191"
+
+POLICY_ARGS = {"det": [], "rng-1": ["--tie-break", "rng", "--rng-seed", "1"]}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _detect(tmp_path, policy, *extra):
+    out = tmp_path / f"{policy}.json"
+    args = ["detect", "--dataset", "karate", "--out", str(out), *POLICY_ARGS[policy], *extra]
+    assert cli.main(args) == 0
+    return out
+
+
+@pytest.mark.parametrize("policy", sorted(POLICY_ARGS))
+def test_karate_report_digest(tmp_path, policy):
+    assert _sha256(_detect(tmp_path, policy).read_bytes()) == REPORT_SHA256[policy]
+
+
+@pytest.mark.parametrize("policy", sorted(POLICY_ARGS))
+def test_karate_trajectory_csv_digest(tmp_path, policy):
+    traj = tmp_path / "traj"
+    _detect(tmp_path, policy, "--trajectories", str(traj))
+    files = sorted(traj.iterdir())
+    assert len(files) == 78
+    h = hashlib.sha256()
+    for item in files:
+        h.update(item.name.encode() + b"\0" + item.read_bytes() + b"\0")
+    assert h.hexdigest() == TRAJECTORIES_SHA256[policy]
+
+
+def test_karate_hierarchy_json_digest(tmp_path):
+    report = _detect(tmp_path, "det", "--include-ground-state")
+    pairs = tmp_path / "pairs.json"
+    dot = tmp_path / "dag.dot"
+    assert cli.main(["hierarchy", "--report", str(report), "--json", str(pairs), "--dot", str(dot)]) == 0
+    assert _sha256(pairs.read_bytes()) == HIERARCHY_JSON_SHA256

@@ -246,6 +246,38 @@ def test_failed_seed_does_not_abort_the_sweep(karate, monkeypatch):
     assert len(res.communities) == 7  # the other seeds still cover everything
 
 
+@pytest.mark.parametrize(
+    "policy", [TieBreakPolicy(), TieBreakPolicy("random", 1)], ids=["det", "rng"]
+)
+def test_each_state_is_scored_once(karate, monkeypatch, policy):
+    """No frontier node is scored twice without a move or recompute in between."""
+    scored, repeats, evaluations = set(), [], []
+    score = SubgraphState.psi_after_add
+
+    def counted_score(state, i):
+        if i in scored:
+            repeats.append(karate.labels[i])
+        scored.add(i)
+        evaluations.append(i)
+        return score(state, i)
+
+    def clearing(method):
+        def wrapper(state, *args):
+            scored.clear()
+            return method(state, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(SubgraphState, "psi_after_add", counted_score)
+    for name in ("apply_add", "apply_remove", "recompute"):
+        monkeypatch.setattr(SubgraphState, name, clearing(getattr(SubgraphState, name)))
+    for link_id in range(karate.m):
+        scored.clear()
+        run_from_seed(karate, link_id, policy)
+    assert evaluations
+    assert not repeats
+
+
 def test_tie_break_policy_validation():
     with pytest.raises(ValueError):
         TieBreakPolicy("sometimes")

@@ -10,7 +10,6 @@ from nodecut import (
     SubgraphState,
     ZeroInternalDegree,
     load_edge_list,
-    make_state,
     psi,
     sigma_and_k_in,
 )
@@ -48,7 +47,7 @@ def test_psi_undefined_without_internal_links(karate):
 
 def test_make_state_path():
     g = load_edge_list("1 2\n2 3")
-    s = make_state(g, indices_of(g, {"1", "2"}))
+    s = SubgraphState(g, indices_of(g, {"1", "2"}))
     assert s.sigma == pytest.approx(0.5, abs=1e-15)
     assert s.k_in == 2.0
     assert s.psi == pytest.approx(0.25, abs=1e-15)
@@ -56,7 +55,7 @@ def test_make_state_path():
 
 
 def test_make_state_karate_c1(karate):
-    s = make_state(karate, indices_of(karate, KARATE_NODES["C1"]))
+    s = SubgraphState(karate, indices_of(karate, KARATE_NODES["C1"]))
     assert s.psi == pytest.approx(3 / 136, abs=1e-12)
     assert round(s.psi, 3) == 0.022
 
@@ -69,14 +68,14 @@ def test_psi_weighted_hand_example():
 
 def test_delta_sigma_add_path():
     g = load_edge_list("1 2\n2 3")
-    s = make_state(g, indices_of(g, {"1", "2"}))
+    s = SubgraphState(g, indices_of(g, {"1", "2"}))
     assert s.delta_sigma_add(g.index_of("3")) == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_delta_sigma_add_star_matches_recompute():
     g = load_edge_list("hub a\nhub b\nhub c\nhub d")
     c = indices_of(g, {"hub", "a"})
-    s = make_state(g, c)
+    s = SubgraphState(g, c)
     for leaf in ("b", "c", "d"):
         i = g.index_of(leaf)
         expected = sigma_and_k_in(g, c | {i})[0] - sigma_and_k_in(g, c)[0]
@@ -85,7 +84,7 @@ def test_delta_sigma_add_star_matches_recompute():
 
 def test_delta_sigma_add_karate_c7_neighbors(karate):
     c = indices_of(karate, KARATE_NODES["C7"])
-    s = make_state(karate, c)
+    s = SubgraphState(karate, c)
     base = sigma_and_k_in(karate, c)[0]
     for i in sorted(s.frontier):
         expected = sigma_and_k_in(karate, c | {i})[0] - base
@@ -94,13 +93,13 @@ def test_delta_sigma_add_karate_c7_neighbors(karate):
 
 def test_delta_sigma_remove_path():
     g = load_edge_list("1 2\n2 3")
-    s = make_state(g, set(range(3)))
+    s = SubgraphState(g, set(range(3)))
     assert s.delta_sigma_remove(g.index_of("3")) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_delta_sigma_remove_karate_c2(karate):
     c = indices_of(karate, KARATE_NODES["C2"])
-    s = make_state(karate, c)
+    s = SubgraphState(karate, c)
     i = karate.index_of("10")
     expected = sigma_and_k_in(karate, c - {i})[0] - sigma_and_k_in(karate, c)[0]
     assert s.delta_sigma_remove(i) == pytest.approx(expected, abs=1e-12)
@@ -108,7 +107,7 @@ def test_delta_sigma_remove_karate_c2(karate):
 
 def test_remove_is_inverse_of_add(karate):
     c = indices_of(karate, KARATE_NODES["C2"])
-    s = make_state(karate, c)
+    s = SubgraphState(karate, c)
     for i in sorted(c):
         if s.psi_after_remove(i) is None:
             continue
@@ -124,7 +123,7 @@ def test_remove_is_inverse_of_add(karate):
 
 def test_apply_add_path_reaches_zero():
     g = load_edge_list("1 2\n2 3")
-    s = make_state(g, indices_of(g, {"1", "2"}))
+    s = SubgraphState(g, indices_of(g, {"1", "2"}))
     s.apply_add(g.index_of("3"))
     assert s.psi == 0.0
     assert s.frontier == set()
@@ -132,13 +131,13 @@ def test_apply_add_path_reaches_zero():
 
 def test_grow_c7_matches_scratch_state(karate):
     c = set(indices_of(karate, KARATE_NODES["C7"]))
-    s = make_state(karate, c)
+    s = SubgraphState(karate, c)
     for j, _, _ in karate.adj[karate.index_of("1")]:
         if j in c:
             continue
         s.apply_add(j)
         c.add(j)
-        fresh = make_state(karate, c)
+        fresh = SubgraphState(karate, c)
         assert s.sigma == pytest.approx(fresh.sigma, rel=1e-12, abs=1e-12)
         assert s.k_in == pytest.approx(fresh.k_in, rel=1e-12)
         assert s.frontier == fresh.frontier
@@ -146,7 +145,7 @@ def test_grow_c7_matches_scratch_state(karate):
 
 
 def test_move_argument_validation(karate):
-    s = make_state(karate, indices_of(karate, {"1", "12"}))
+    s = SubgraphState(karate, indices_of(karate, {"1", "12"}))
     with pytest.raises(NotANeighbor):
         s.delta_sigma_add(karate.index_of("1"))
     with pytest.raises(NotANeighbor):
@@ -199,6 +198,6 @@ def test_incremental_matches_scratch_random_walk(weighted):
 
 def test_recompute_resets_drift(karate):
     c = indices_of(karate, KARATE_NODES["C3"])
-    s = make_state(karate, c)
+    s = SubgraphState(karate, c)
     exact = s.recompute()
     assert exact == pytest.approx(psi(karate, c), abs=0.0)
