@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import re
 import sys
@@ -35,13 +34,7 @@ from .errors import (
     TooLarge,
     WeightedUnsupported,
 )
-from .graph import (
-    Graph,
-    connected_components,
-    induced_links,
-    is_connected,
-    load_edge_list,
-)
+from .graph import Graph, induced_links, is_connected, load_edge_list
 from .greedy import TieBreakPolicy, merge_trajectories, run_all_seeds, run_from_seed
 from .hierarchy import build_polyhierarchy, classify_overlap, cover_check, dag_to_dot
 from .landscape import DEFAULT_MAX_NODES, exact_local_minima, verify_local_minimum
@@ -132,7 +125,7 @@ def _write_trajectories(g: Graph, trajectories, directory: str) -> dict[int, str
 def cmd_detect(args) -> int:
     g, source = _load_graph(args)
     policy = _policy(args)
-    if len(connected_components(g)) > 1 and not args.allow_disconnected:
+    if g.components > 1 and not args.allow_disconnected:
         _fail(3, "disconnected-graph", "input graph is disconnected; pass --allow-disconnected to proceed")
     started = time.perf_counter()
     seed_link = None
@@ -207,7 +200,7 @@ def cmd_oracle(args) -> int:
         }
         if greedy_only:
             code = 1
-    _write_text(args.out, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write_text(args.out, dumps_report(doc))
     if code:
         print(
             f"nodecut: error[compare]: {len(doc['compare']['greedy_only'])} "
@@ -252,7 +245,7 @@ def cmd_verify(args) -> int:
         "equivalence_tolerance": EQUIVALENCE_TOL,
         "max_equivalence_residual": None if max_residual is None else float(f"{max_residual:.6g}"),
     }
-    _write_text(None, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write_text(None, dumps_report(doc))
     if not certificate_ok:
         bad = [c["name"] for c in checks if not c["local_minimum"]]
         print(
@@ -300,11 +293,11 @@ def cmd_hierarchy(args) -> int:
     if args.dot:
         _write_text(args.dot, dot_text)
     if args.json:
-        _write_text(args.json, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        _write_text(args.json, dumps_report(doc))
     if not args.dot:
         sys.stdout.write(dot_text)
     elif not args.json:
-        sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(dumps_report(doc))
     return 0
 
 

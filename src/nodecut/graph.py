@@ -45,9 +45,18 @@ class Graph:
         degrees: total incident weight per node.
         link_ends: (u, v) endpoint pair per link id, u < v.
         link_weights: weight per link id.
+        order: node indices in label order: numeric labels first and
+            numerically, then other labels lexically, equal keys by index
+            (first appearance in the edge list).
+        rank: position of each node index in order. Greedy tie-breaks and
+            every output list read this one label order.
+        components: number of connected components.
     """
 
-    __slots__ = ("n", "m", "labels", "adj", "degrees", "link_ends", "link_weights", "_index")
+    __slots__ = (
+        "n", "m", "labels", "adj", "degrees", "link_ends", "link_weights",
+        "order", "rank", "components", "_index",
+    )
 
     def __init__(self, labels, links):
         """Build from a label list and (u, v, weight) triples over internal indices.
@@ -77,6 +86,9 @@ class Graph:
         self.link_ends = tuple(ends)
         self.link_weights = tuple(weights)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
+        self.order = tuple(sorted(range(n), key=lambda i: label_sort_key(self.labels[i])))
+        self.rank = tuple(sorted(range(n), key=self.order.__getitem__))  # inverse of order
+        self.components = len(connected_components(self))
 
     def index_of(self, label: str) -> int:
         """Internal index of a node label; KeyError if unknown."""

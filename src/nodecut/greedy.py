@@ -31,14 +31,7 @@ from .errors import (
     NoLowerCommunity,
     OscillationError,
 )
-from .graph import (
-    Graph,
-    boundary_nodes,
-    connected_components,
-    induced_links,
-    is_connected,
-    label_sort_key,
-)
+from .graph import Graph, boundary_nodes, induced_links, is_connected
 from .landscape import MOVE_TOL, stability
 from .psi import SubgraphState, psi
 
@@ -118,10 +111,6 @@ class DetectionResult:
     failures: dict[int, str] = field(default_factory=dict)
 
 
-def _label_key(g: Graph, i: int):
-    return label_sort_key(g.labels[i])
-
-
 def _addition_candidates(state: SubgraphState) -> list[tuple[float, int]]:
     """(psi change if added, node) for every frontier node of the current state."""
     # sorted frontier: candidate order must not depend on set iteration order,
@@ -139,13 +128,13 @@ def _select(
     rank takes that place in the (delta, label) order, clamped to the last.
     """
     if rank:
-        ordered = sorted(cands, key=lambda c: (c[0], _label_key(g, c[1])))
+        ordered = sorted(cands, key=lambda c: (c[0], g.rank[c[1]]))
         return ordered[min(rank, len(ordered) - 1)]
     best = min(d for d, _ in cands)
     tied = [c for c in cands if c[0] <= best + MOVE_TOL]
     if rng is not None and len(tied) > 1:
         return tied[rng.randrange(len(tied))]
-    return min(tied, key=lambda c: _label_key(g, c[1]))
+    return min(tied, key=lambda c: g.rank[c[1]])
 
 
 def _downhill(cands: list[tuple[float, int]]) -> bool:
@@ -171,7 +160,7 @@ def _removal_order(state: SubgraphState, rng: random.Random | None) -> list[tupl
         if after is not None:
             cands.append((after - value, x))
     if rng is None:
-        cands.sort(key=lambda c: (c[0], _label_key(state.g, c[1])))
+        cands.sort(key=lambda c: (c[0], state.g.rank[c[1]]))
         return cands
     cands.sort(key=lambda c: c[0])  # stable: keeps index order inside tie groups
     ordered: list[tuple[float, int]] = []
@@ -306,7 +295,7 @@ def _run_link(link_id: int) -> Trajectory | tuple[int, str]:
 
 
 def _community_sort_key(g: Graph, c: Community):
-    return (c.psi, -len(c.nodes), sorted(label_sort_key(g.labels[i]) for i in c.nodes))
+    return (c.psi, -len(c.nodes), sorted(g.rank[i] for i in c.nodes))
 
 
 def run_all_seeds(
@@ -322,7 +311,7 @@ def run_all_seeds(
     community. Result order and content do not depend on jobs.
     """
     policy = policy or TieBreakPolicy()
-    if not allow_disconnected and g.n and len(connected_components(g)) > 1:
+    if not allow_disconnected and g.components > 1:
         raise DisconnectedGraph(
             "input graph is disconnected; runs would be confined to seed components"
         )

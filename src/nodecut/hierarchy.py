@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 
+ROOT = "C0"  # name of the synthetic whole-graph root
+
+
 @dataclass(frozen=True)
 class OverlapRelation:
     kind: str  # "disjoint" | "nested" | "boundary-overlap" | "permeating"
@@ -62,9 +65,6 @@ class PolyhierarchyDag:
     node_sets: dict[str, frozenset[int]]
     edges: list[tuple[str, str]]  # (parent, child)
 
-    def children(self, name: str) -> list[str]:
-        return [c for p, c in self.edges if p == name]
-
     def parents(self, name: str) -> list[str]:
         return [p for p, c in self.edges if c == name]
 
@@ -73,7 +73,6 @@ def build_polyhierarchy(
     total_nodes: int | Graph,
     communities: list[Community],
     names: list[str] | None = None,
-    root: str = "C0",
 ) -> PolyhierarchyDag:
     """Transitive reduction of strict containment, rooted at the whole graph.
 
@@ -98,21 +97,20 @@ def build_polyhierarchy(
             if not any(sets[q] < sets[p] for q in parents if q != p)
         ]
         if not direct:
-            direct = [root]
+            direct = [ROOT]
         edges.extend((p, child) for p in direct)
     node_sets = dict(sets)
-    node_sets[root] = whole
-    order = {name: i for i, name in enumerate([root, *names])}
+    node_sets[ROOT] = whole
+    order = {name: i for i, name in enumerate([ROOT, *names])}
     edges.sort(key=lambda e: (order[e[0]], order[e[1]]))
-    return PolyhierarchyDag(names=[root, *names], node_sets=node_sets, edges=edges)
+    return PolyhierarchyDag(names=[ROOT, *names], node_sets=node_sets, edges=edges)
 
 
-def dag_to_dot(dag: PolyhierarchyDag, sizes: bool = True) -> str:
+def dag_to_dot(dag: PolyhierarchyDag) -> str:
     """Graphviz DOT text for the containment DAG."""
     lines = ["digraph communities {", "  rankdir=TB;", "  node [shape=box];"]
     for name in dag.names:
-        label = f"{name}\\n{len(dag.node_sets[name])} nodes" if sizes else name
-        lines.append(f'  "{name}" [label="{label}"];')
+        lines.append(f'  "{name}" [label="{name}\\n{len(dag.node_sets[name])} nodes"];')
     for parent, child in dag.edges:
         lines.append(f'  "{parent}" -> "{child}";')
     lines.append("}")

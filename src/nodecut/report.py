@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 from .errors import ReportError
-from .graph import Graph, connected_components, label_sort_key
+from .graph import Graph
 from .greedy import Community, DetectionResult, TieBreakPolicy, Trajectory
 
 __all__ = [
@@ -29,19 +29,19 @@ def _round12(x: float) -> float:
 
 
 def sorted_labels(g: Graph, indices) -> list[str]:
-    """Labels of node indices in label order."""
-    return sorted((g.labels[i] for i in indices), key=label_sort_key)
+    """Labels of node indices in label order (g.rank)."""
+    return [g.labels[i] for i in sorted(indices, key=g.rank.__getitem__)]
 
 
 def link_label_pairs(g: Graph, link_ids) -> list[list[str]]:
-    """[u, v] label pairs of link ids, each pair and the list in label order."""
-    pairs = []
+    """[u, v] label pairs of link ids, each pair and the list in label order (g.rank)."""
+    rank = g.rank
+    ranked = []
     for lid in link_ids:
-        u, v = g.link_label_pair(lid)
-        pair = sorted((u, v), key=label_sort_key)
-        pairs.append(pair)
-    pairs.sort(key=lambda p: (label_sort_key(p[0]), label_sort_key(p[1])))
-    return pairs
+        u, v = g.link_ends[lid]
+        ranked.append((rank[u], rank[v]) if rank[u] < rank[v] else (rank[v], rank[u]))
+    ranked.sort()
+    return [[g.labels[g.order[a]], g.labels[g.order[b]]] for a, b in ranked]
 
 
 def community_entry(g: Graph, name: str, c: Community) -> dict:
@@ -69,7 +69,6 @@ def build_report(
     seed_link: int | None = None,
 ) -> dict:
     """Assemble the JSON-ready report document for a detection run."""
-    comps = connected_components(g)
     names = [f"C{i + 1}" for i in range(len(result.communities))]
     entries = [community_entry(g, n, c) for n, c in zip(names, result.communities)]
     covered = sum(1 for t in result.trajectories if t.covers_graph)
@@ -86,10 +85,9 @@ def build_report(
     name_of = {c.nodes: n for n, c in zip(names, result.communities)}
     per_seed = []
     for t in result.trajectories:
-        u, v = t.seed
         per_seed.append(
             {
-                "seed": sorted((g.labels[u], g.labels[v]), key=label_sort_key),
+                "seed": sorted_labels(g, t.seed),
                 "minima": [name_of[nodes] for nodes in t.minima],
                 "steps": len(t.steps),
                 "final_psi": _round12(t.final_psi),
@@ -102,9 +100,9 @@ def build_report(
             "n": g.n,
             "m": g.m,
             "weighted": not g.unit_weighted,
-            "connected": len(comps) == 1,
-            "components": len(comps),
-            "labels": sorted(g.labels, key=label_sort_key),
+            "connected": g.components == 1,
+            "components": g.components,
+            "labels": sorted_labels(g, range(g.n)),
             "source": source,
         },
         "policy": {
@@ -127,13 +125,7 @@ def build_report(
             ),
             "per_seed": per_seed,
             "failures": [
-                {
-                    "seed": sorted(
-                        (g.labels[g.link_ends[lid][0]], g.labels[g.link_ends[lid][1]]),
-                        key=label_sort_key,
-                    ),
-                    "error": message,
-                }
+                {"seed": sorted_labels(g, g.link_ends[lid]), "error": message}
                 for lid, message in sorted(result.failures.items())
             ],
         },
@@ -149,9 +141,9 @@ def build_report(
     return report
 
 
-def dumps_report(report: dict) -> str:
-    """Canonical serialization: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+def dumps_report(doc: dict) -> str:
+    """Canonical JSON text of any nodecut document: sorted keys, two-space indent, trailing newline."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def load_report(path: str) -> dict:

@@ -131,6 +131,31 @@ def test_detect_disconnected_exit_3(tmp_path, capsys):
     assert json.loads(out)["graph"]["components"] == 2
 
 
+def test_detect_walks_components_once(tmp_path, capsys, monkeypatch):
+    import nodecut
+    from nodecut.datasets import karate_graph
+
+    original = nodecut.graph.connected_components
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    # every module that binds the name, so a call through any import is seen
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("nodecut") and (
+            getattr(module, "connected_components", None) is original
+        ):
+            monkeypatch.setattr(module, "connected_components", counted)
+    # build the cached karate graph inside the command
+    karate_graph.cache_clear()
+    code, _, _ = run_cli(["detect", "--dataset", "karate", "--out", str(tmp_path / "r.json")], capsys)
+    karate_graph.cache_clear()
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_detect_path3_reports_ground_state_only(tmp_path, capsys):
     edges = tmp_path / "path3.edges"
     edges.write_text(PATH3)

@@ -1,9 +1,14 @@
-"""Byte-identity of the karate outputs, pinned as sha256 digests.
+"""Byte-identity of the karate and mixed-label outputs, pinned as sha256 digests.
 
 The all-seeds report is hashed without --trajectories (that option writes
 its directory into the report); the trajectory CSVs are hashed as one
 stream of (file name, contents) in file-name order. A change to these
 digests is a change of output, not a refactoring.
+
+Karate labels are all numeric. The mixed-label graph mixes numbers and
+words so that first-appearance order, label order (numbers numerically,
+then words) and plain string order all differ; its communities come in
+equal-psi, equal-size pairs that only label order ranks.
 """
 
 import hashlib
@@ -21,6 +26,39 @@ TRAJECTORIES_SHA256 = {
     "rng-1": "c8e82439dfb5c2c78b36103295e81d25d39f77723b4f2526e3bb03cb959dc159",
 }
 HIERARCHY_JSON_SHA256 = "c0f37a7f0b8ff9fa791babbda93de7d6b12a8746a869f9334601aa249000d191"
+
+# 14 nodes, 24 weighted links: three four-node groups joined through 41, d, a, b
+MIXED_EDGE_LIST = """\
+10 9 2
+10 100 1
+10 b 1
+9 100 1
+9 b 1
+100 b 2
+b a 1
+a x1 2
+a 2 1
+a 33 1
+x1 2 1
+x1 33 1
+2 33 2
+33 41 1
+41 c 1
+c y 2
+c 7 1
+c z2 1
+y 7 1
+y z2 1
+7 z2 2
+41 d 1
+d 10 1
+d y 1
+"""
+MIXED_REPORT_SHA256 = {
+    "det": "8b0f256f10dc16237a4305495880c991d72c6540c8443aca655ce20f6e875b70",
+    "rng-1": "c4190a9d6f1ddb1e0758f73e87c1c9fdc567a83a4bec18214b79e51f97abf8cb",
+}
+MIXED_HIERARCHY_JSON_SHA256 = "4f116d7d7402682b6803bbda7cebd2fad5a869e19cd3a1b8b917ac9c7508af6a"
 
 POLICY_ARGS = {"det": [], "rng-1": ["--tie-break", "rng", "--rng-seed", "1"]}
 
@@ -59,3 +97,27 @@ def test_karate_hierarchy_json_digest(tmp_path):
     dot = tmp_path / "dag.dot"
     assert cli.main(["hierarchy", "--report", str(report), "--json", str(pairs), "--dot", str(dot)]) == 0
     assert _sha256(pairs.read_bytes()) == HIERARCHY_JSON_SHA256
+
+
+def _detect_mixed(tmp_path, monkeypatch, policy, *extra):
+    # the report records the input path as given, so run from tmp_path
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "mixed.edges").write_text(MIXED_EDGE_LIST)
+    out = tmp_path / f"{policy}.json"
+    args = ["detect", "mixed.edges", "--weighted", "--out", str(out), *POLICY_ARGS[policy], *extra]
+    assert cli.main(args) == 0
+    return out
+
+
+@pytest.mark.parametrize("policy", sorted(POLICY_ARGS))
+def test_mixed_label_report_digest(tmp_path, monkeypatch, policy):
+    out = _detect_mixed(tmp_path, monkeypatch, policy)
+    assert _sha256(out.read_bytes()) == MIXED_REPORT_SHA256[policy]
+
+
+def test_mixed_label_hierarchy_json_digest(tmp_path, monkeypatch):
+    report = _detect_mixed(tmp_path, monkeypatch, "det", "--include-ground-state")
+    pairs = tmp_path / "pairs.json"
+    dot = tmp_path / "dag.dot"
+    assert cli.main(["hierarchy", "--report", str(report), "--json", str(pairs), "--dot", str(dot)]) == 0
+    assert _sha256(pairs.read_bytes()) == MIXED_HIERARCHY_JSON_SHA256
