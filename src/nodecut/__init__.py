@@ -12,9 +12,7 @@ from .errors import (
     DisconnectedGraph,
     EdgeListError,
     EmptyCut,
-    EmptyUnion,
     NoFrontier,
-    NoLowerCommunity,
     NodeCutError,
     NotAMember,
     NotANeighbor,
@@ -58,8 +56,6 @@ from .hierarchy import (
 from .landscape import (
     enumerate_connected_subgraphs,
     exact_local_minima,
-    jaccard_distance,
-    stability,
     verify_local_minimum,
 )
 from .linegraph import (
@@ -104,8 +100,6 @@ __all__ = [
     "enumerate_connected_subgraphs",
     "exact_local_minima",
     "verify_local_minimum",
-    "jaccard_distance",
-    "stability",
     "OverlapRelation",
     "PolyhierarchyDag",
     "classify_overlap",
@@ -125,8 +119,6 @@ __all__ = [
     "WeightedUnsupported",
     "EmptyCut",
     "TooLarge",
-    "EmptyUnion",
-    "NoLowerCommunity",
     "OscillationError",
     "ReportError",
 ]

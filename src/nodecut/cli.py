@@ -5,8 +5,9 @@ Subcommands: detect, oracle, verify, hierarchy, linegraph.
 Exit codes:
     0  success
     1  oracle --compare found communities outside the exact-minima set
-    2  usage, input, or report errors (includes weighted graphs where a
-       unit-weight graph is required)
+    2  usage, input, report, or output errors (includes weighted graphs
+       where a unit-weight graph is required, input that is not UTF-8, and
+       an output file that cannot be written)
     3  disconnected input without --allow-disconnected
     4  graph exceeds the oracle enumeration cap and --force was not given
     5  a community in the report fails the local-minimum certificate
@@ -84,6 +85,8 @@ def _load_graph(args) -> tuple[Graph, str]:
             g = load_edge_list(fh, weighted=getattr(args, "weighted", False))
     except OSError as exc:
         _fail(2, "input", str(exc))
+    except UnicodeDecodeError as exc:
+        _fail(2, "input", f"{args.input} is not UTF-8 text: {exc}")
     except EdgeListError as exc:
         _fail(2, "edge-list", str(exc))
     if g.m == 0:
@@ -99,9 +102,12 @@ def _policy(args) -> TieBreakPolicy:
 def _write_text(path: str | None, text: str):
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        _fail(2, "output", str(exc))
 
 
 def _safe_token(label: str) -> str:
@@ -109,16 +115,19 @@ def _safe_token(label: str) -> str:
 
 
 def _write_trajectories(g: Graph, trajectories, directory: str) -> dict[int, str]:
-    os.makedirs(directory, exist_ok=True)
     files = {}
-    for traj in trajectories:
-        u, v = traj.seed
-        name = f"seed-{traj.link_id:04d}-{_safe_token(g.labels[u])}-{_safe_token(g.labels[v])}.csv"
-        with open(os.path.join(directory, name), "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "action", "node", "psi", "size"])
-            writer.writerows(trajectory_rows(g, traj))
-        files[traj.link_id] = name
+    try:
+        os.makedirs(directory, exist_ok=True)
+        for traj in trajectories:
+            u, v = traj.seed
+            name = f"seed-{traj.link_id:04d}-{_safe_token(g.labels[u])}-{_safe_token(g.labels[v])}.csv"
+            with open(os.path.join(directory, name), "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["step", "action", "node", "psi", "size"])
+                writer.writerows(trajectory_rows(g, traj))
+            files[traj.link_id] = name
+    except OSError as exc:
+        _fail(2, "output", str(exc))
     return files
 
 

@@ -47,14 +47,6 @@ class TooLarge(NodeCutError):
     """Graph exceeds the exhaustive-enumeration cap."""
 
 
-class EmptyUnion(NodeCutError):
-    """Jaccard distance of two empty sets is undefined."""
-
-
-class NoLowerCommunity(NodeCutError):
-    """No community with a strictly lower cut value exists; stability is undefined."""
-
-
 class OscillationError(NodeCutError):
     """A greedy run exceeded its phase budget without covering its component."""
 

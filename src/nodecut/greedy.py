@@ -22,18 +22,11 @@ from __future__ import annotations
 
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .errors import (
-    DisconnectedGraph,
-    NodeCutError,
-    NoFrontier,
-    NoLowerCommunity,
-    OscillationError,
-)
+from .errors import DisconnectedGraph, NodeCutError, NoFrontier, OscillationError
 from .graph import Graph, boundary_nodes, induced_links, is_connected
-from .landscape import MOVE_TOL, stability
-from .psi import SubgraphState, psi
+from .psi import MOVE_TOL, SubgraphState, psi
 
 __all__ = [
     "TieBreakPolicy",
@@ -294,10 +287,6 @@ def _run_link(link_id: int) -> Trajectory | tuple[int, str]:
         return (link_id, str(exc))
 
 
-def _community_sort_key(g: Graph, c: Community):
-    return (c.psi, -len(c.nodes), sorted(g.rank[i] for i in c.nodes))
-
-
 def run_all_seeds(
     g: Graph,
     policy: TieBreakPolicy | None = None,
@@ -333,36 +322,40 @@ def run_all_seeds(
 
 
 def merge_trajectories(g: Graph, trajectories: list[Trajectory]) -> DetectionResult:
-    """Deduplicate recorded minima by node set and derive community records."""
+    """Deduplicate recorded minima by node set and derive community records.
+
+    Communities come in (psi, -size, label) order. A community's stability
+    is its shortest Jaccard distance, (|A u B| - |A n B|) / |A u B|, to any
+    community with a strictly lower cut value, or None when there is none.
+    """
     counts: dict[frozenset[int], int] = {}
     for traj in trajectories:
         for nodes in traj.minima:
             counts[nodes] = counts.get(nodes, 0) + 1
+    scored = sorted(
+        ((psi(g, nodes), nodes) for nodes in counts),
+        key=lambda p: (p[0], -len(p[1]), sorted(g.rank[i] for i in p[1])),
+    )
 
-    communities = []
-    for nodes, count in counts.items():
+    communities: list[Community] = []
+    for value, nodes in scored:
+        distances = []
+        for lower in communities:
+            if lower.psi < value:
+                union = len(nodes | lower.nodes)
+                distances.append((union - len(nodes & lower.nodes)) / union)
         communities.append(
             Community(
                 nodes=nodes,
                 links=frozenset(induced_links(g, nodes)),
-                psi=psi(g, nodes),
+                psi=value,
                 boundary=frozenset(boundary_nodes(g, nodes)),
-                seed_count=count,
+                seed_count=counts[nodes],
+                stability=min(distances, default=None),
             )
         )
-    communities.sort(key=lambda c: _community_sort_key(g, c))
-    pool_pairs = [(c.nodes, c.psi) for c in communities]
-    with_stability = []
-    for c in communities:
-        try:
-            s = stability(c.nodes, c.psi, pool_pairs)
-        except NoLowerCommunity:
-            s = None
-        with_stability.append(replace(c, stability=s))
 
     histogram: dict[int, int] = {}
     for traj in trajectories:
         histogram[len(traj.minima)] = histogram.get(len(traj.minima), 0) + 1
-    return DetectionResult(
-        communities=with_stability, trajectories=trajectories, histogram=histogram
-    )
+    return DetectionResult(communities=communities, trajectories=trajectories, histogram=histogram)

@@ -27,7 +27,8 @@ __all__ = [
 ]
 
 
-ROOT = "C0"  # name of the synthetic whole-graph root
+# name of the whole-graph community: the DAG root, and a report's included ground state
+ROOT = "C0"
 
 
 @dataclass(frozen=True)

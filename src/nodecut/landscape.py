@@ -1,4 +1,4 @@
-"""Exhaustive landscape ground truth, local-minimum certificates, and stability.
+"""Exhaustive landscape ground truth and local-minimum certificates.
 
 The landscape has one place per connected node set with at least one internal
 link; places are related by single-node additions/removals. Exhaustive
@@ -10,24 +10,18 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .errors import EmptyUnion, NoLowerCommunity, TooLarge
+from .errors import TooLarge
 from .graph import Graph, is_connected
-from .psi import SubgraphState, psi
+from .psi import MOVE_TOL, SubgraphState, psi
 
 __all__ = [
     "DEFAULT_MAX_NODES",
-    "MOVE_TOL",
     "enumerate_connected_subgraphs",
     "exact_local_minima",
     "verify_local_minimum",
-    "jaccard_distance",
-    "stability",
 ]
 
 DEFAULT_MAX_NODES = 16
-
-# A move only counts as downhill when it clears this absolute margin.
-MOVE_TOL = 1e-12
 
 
 def enumerate_connected_subgraphs(
@@ -113,30 +107,3 @@ def verify_local_minimum(g: Graph, nodes) -> bool:
         if is_connected(g, state.members - {x}):
             return False
     return True
-
-
-def jaccard_distance(a, b) -> float:
-    """(|union| - |intersection|) / |union| of two node sets."""
-    sa, sb = set(a), set(b)
-    union = len(sa | sb)
-    if union == 0:
-        raise EmptyUnion("Jaccard distance of two empty sets")
-    return (union - len(sa & sb)) / union
-
-
-def stability(target_nodes, target_psi: float, others) -> float:
-    """Shortest Jaccard distance from a community to any strictly better one.
-
-    others is an iterable of (nodes, psi) pairs; entries equal to the target
-    are ignored. Raises NoLowerCommunity when nothing has a lower cut value.
-    """
-    target = frozenset(target_nodes)
-    best = None
-    for nodes, value in others:
-        if value < target_psi and frozenset(nodes) != target:
-            d = jaccard_distance(target, nodes)
-            if best is None or d < best:
-                best = d
-    if best is None:
-        raise NoLowerCommunity("no community with a strictly lower cut value")
-    return best

@@ -25,7 +25,10 @@ from __future__ import annotations
 from .errors import NotAMember, NotANeighbor, ZeroInternalDegree
 from .graph import Graph
 
-__all__ = ["psi", "sigma_and_k_in", "SubgraphState"]
+__all__ = ["MOVE_TOL", "psi", "sigma_and_k_in", "SubgraphState"]
+
+# A move only counts as downhill when it clears this absolute margin.
+MOVE_TOL = 1e-12
 
 
 def sigma_and_k_in(g: Graph, nodes) -> tuple[float, float]:
@@ -105,10 +108,6 @@ class SubgraphState:
 
     def nodes(self) -> frozenset[int]:
         return frozenset(self.members)
-
-    def out_w(self, i: int) -> float:
-        """External weight of node i relative to the current members."""
-        return self.g.degrees[i] - self.in_w[i]
 
     def delta_sigma_add(self, i: int) -> float:
         """Exact change of sigma if external neighbor i joined the set."""

@@ -7,6 +7,7 @@ import json
 from .errors import ReportError
 from .graph import Graph
 from .greedy import Community, DetectionResult, TieBreakPolicy, Trajectory
+from .hierarchy import ROOT
 
 __all__ = [
     "build_report",
@@ -81,7 +82,7 @@ def build_report(
             seed_count=covered,
             stability=None,
         )
-        entries.insert(0, community_entry(g, "C0", whole))
+        entries.insert(0, community_entry(g, ROOT, whole))
     name_of = {c.nodes: n for n, c in zip(names, result.communities)}
     per_seed = []
     for t in result.trajectories:
@@ -149,13 +150,14 @@ def dumps_report(doc: dict) -> str:
 def load_report(path: str) -> dict:
     """Read a report and check the structure every reader of it relies on.
 
-    Raises ReportError when the file is unreadable or not JSON, or lacks the
-    graph block (integer n and m, a labels list) or the communities list.
+    Raises ReportError when the file is unreadable, not UTF-8 or not JSON, or
+    lacks the graph block (integer n and m, a labels list) or the communities
+    list.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             report = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ReportError(f"cannot read report {path}: {exc}") from exc
     if not isinstance(report, dict) or "communities" not in report or "graph" not in report:
         raise ReportError(f"report {path} lacks required keys")

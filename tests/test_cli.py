@@ -304,6 +304,8 @@ MALFORMED_REPORTS = {
     "no-graph-n": _edit("graph", "n"),
     "duplicate-name": _edit("communities", 1, "name", value="C1"),
     "node-not-in-graph": _edit("communities", 0, "nodes", value=["1", "2", "3", "99"]),
+    # otherwise valid JSON whose first community name holds byte 0xff
+    "not-utf-8": lambda report: json.dumps(report).encode().replace(b'"C1"', b'"C\xff1"', 1),
 }
 
 REPORT_COMMANDS = {
@@ -321,10 +323,10 @@ def _two_triangle_report(tmp_path):
     return edges, report
 
 
-def _assert_report_error(code, err):
+def _assert_one_error(code, err, kind="report"):
     assert code == 2
     lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("nodecut: error[report]: "), err
+    assert len(lines) == 1 and lines[0].startswith(f"nodecut: error[{kind}]: "), err
 
 
 @pytest.mark.parametrize("command", sorted(REPORT_COMMANDS))
@@ -332,10 +334,11 @@ def _assert_report_error(code, err):
 def test_verify_malformed_report_exit_2(tmp_path, capsys, command, shape):
     edges, report_path = _two_triangle_report(tmp_path)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(MALFORMED_REPORTS[shape](json.loads(report_path.read_text()))))
+    doc = MALFORMED_REPORTS[shape](json.loads(report_path.read_text()))
+    bad.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
     capsys.readouterr()
     code, _, err = run_cli(REPORT_COMMANDS[command](str(edges), str(bad)), capsys)
-    _assert_report_error(code, err)
+    _assert_one_error(code, err)
 
 
 @pytest.mark.parametrize("command", ["verify", "oracle"])
@@ -346,7 +349,37 @@ def test_report_link_not_in_graph_exit_2(tmp_path, capsys, command):
     report_path.write_text(json.dumps(report))
     capsys.readouterr()
     code, out, err = run_cli(REPORT_COMMANDS[command](str(edges), str(report_path)), capsys)
-    _assert_report_error(code, err)
+    _assert_one_error(code, err)
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["detect", "oracle", "linegraph"])
+def test_edge_list_not_utf8_exit_2(tmp_path, capsys, command):
+    edges = tmp_path / "bad.edges"
+    edges.write_bytes(b"1 2\n2 \xff\n")
+    code, out, err = run_cli([command, str(edges)], capsys)
+    _assert_one_error(code, err, "input")
+    assert out == ""
+
+
+OUTPUT_WRITES = {
+    "detect-out": lambda edges, report, bad: ["detect", edges, "--out", bad],
+    "detect-trajectories": lambda edges, report, bad: ["detect", edges, "--trajectories", report],
+    "hierarchy-json": lambda edges, report, bad: ["hierarchy", "--report", report, "--json", bad],
+    "hierarchy-dot": lambda edges, report, bad: ["hierarchy", "--report", report, "--dot", bad],
+    "oracle-out": lambda edges, report, bad: ["oracle", edges, "--out", bad],
+    "linegraph-out": lambda edges, report, bad: ["linegraph", edges, "--out", bad],
+}
+
+
+@pytest.mark.parametrize("write", list(OUTPUT_WRITES))
+def test_output_write_failure_exit_2(tmp_path, capsys, write):
+    """An unwritable output path (missing directory, or a file where a directory goes)."""
+    edges, report = _two_triangle_report(tmp_path)
+    bad = tmp_path / "missing" / "out.txt"
+    capsys.readouterr()
+    code, out, err = run_cli(OUTPUT_WRITES[write](str(edges), str(report), str(bad)), capsys)
+    _assert_one_error(code, err, "output")
     assert out == ""
 
 

@@ -23,9 +23,11 @@ from conftest import (
     KARATE_NODES,
     KARATE_PSI,
     KARATE_SEED_COUNTS,
+    TWO_TRIANGLES,
     indices_of,
     labels_of,
     random_connected_graph,
+    random_weighted_graph,
 )
 
 K4 = "1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
@@ -190,6 +192,25 @@ def test_stability_ordering(karate_result):
     assert all(0.0 < c.stability <= 1.0 for c in ordered[1:])
 
 
+def test_stability_definition(karate, karate_result):
+    """Shortest Jaccard distance to any community with a strictly lower cut value.
+
+    The two triangles are minima of equal psi, so neither has a lower one.
+    """
+    weighted = random_weighted_graph(random.Random(1), 20, 20)
+    results = (karate_result, run_all_seeds(weighted), run_all_seeds(load_edge_list(TWO_TRIANGLES)))
+    for result, expect_count in zip(results, (7, 14, 2)):
+        communities = result.communities
+        assert len(communities) == expect_count
+        for c in communities:
+            lower = [o.nodes for o in communities if o.psi < c.psi]
+            if not lower:
+                assert c.stability is None
+                continue
+            expected = min(1.0 - len(c.nodes & o) / len(c.nodes | o) for o in lower)
+            assert c.stability == pytest.approx(expected, abs=1e-12)
+
+
 def test_random_policy_still_finds_the_seven(karate):
     res = run_all_seeds(karate, TieBreakPolicy("random", 144))
     sets = {labels_of(karate, c.nodes) for c in res.communities}
@@ -205,12 +226,14 @@ def test_deterministic_runs_are_identical(karate):
 
 
 def test_jobs_do_not_change_results(karate):
-    serial = run_all_seeds(karate)
-    parallel = run_all_seeds(karate, jobs=2)
-    assert [t.steps for t in serial.trajectories] == [t.steps for t in parallel.trajectories]
-    assert [(c.nodes, c.psi, c.seed_count) for c in serial.communities] == [
-        (c.nodes, c.psi, c.seed_count) for c in parallel.communities
-    ]
+    weighted = random_weighted_graph(random.Random(1), 20, 20)
+    for g, policy in ((karate, TieBreakPolicy()), (weighted, TieBreakPolicy("random", 1))):
+        serial = run_all_seeds(g, policy)
+        parallel = run_all_seeds(g, policy, jobs=2)
+        assert [t.steps for t in serial.trajectories] == [t.steps for t in parallel.trajectories]
+        assert [(c.nodes, c.psi, c.seed_count, c.stability) for c in serial.communities] == [
+            (c.nodes, c.psi, c.seed_count, c.stability) for c in parallel.communities
+        ]
 
 
 def test_disconnected_graph_is_refused():

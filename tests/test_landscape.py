@@ -1,20 +1,17 @@
-"""Exhaustive enumeration, exact minima, Jaccard distance, and stability."""
+"""Exhaustive enumeration, exact minima, and local-minimum certificates."""
 
 import random
 
 import pytest
 
 from nodecut import (
-    EmptyUnion,
-    NoLowerCommunity,
+    TieBreakPolicy,
     TooLarge,
     enumerate_connected_subgraphs,
     exact_local_minima,
-    jaccard_distance,
     load_edge_list,
     psi,
     run_all_seeds,
-    stability,
     verify_local_minimum,
 )
 from conftest import (
@@ -25,6 +22,7 @@ from conftest import (
     indices_of,
     labels_of,
     random_connected_graph,
+    random_weighted_graph,
 )
 
 
@@ -69,12 +67,15 @@ def test_exact_minima_two_triangles():
 
 
 def test_greedy_minima_subset_of_exact():
+    """Unit and weighted graphs, deterministic and random tie-breaking."""
     rng = random.Random(41)
-    for trial in range(8):
-        g = random_connected_graph(rng, rng.randrange(5, 12), rng.randrange(0, 8))
-        exact = set(exact_local_minima(g))
-        for c in run_all_seeds(g).communities:
-            assert c.nodes in exact
+    for make in (random_connected_graph, random_weighted_graph):
+        for policy in (TieBreakPolicy(), TieBreakPolicy("random", 3)):
+            for trial in range(8):
+                g = make(rng, rng.randrange(5, 12), rng.randrange(0, 8))
+                exact = set(exact_local_minima(g))
+                for c in run_all_seeds(g, policy).communities:
+                    assert c.nodes in exact
 
 
 def test_verify_karate_communities(karate):
@@ -90,45 +91,3 @@ def test_verify_rejects_perturbed_c1(karate):
 
 def test_whole_graph_is_a_minimum(karate):
     assert verify_local_minimum(karate, set(range(karate.n)))
-
-
-def test_jaccard_basics():
-    assert jaccard_distance({1, 2, 3}, {2, 3, 4}) == pytest.approx(0.5)
-    assert jaccard_distance({1, 2}, {1, 2}) == 0.0
-    assert jaccard_distance({1}, {2}) == 1.0
-    with pytest.raises(EmptyUnion):
-        jaccard_distance(set(), set())
-
-
-def test_jaccard_is_a_metric():
-    rng = random.Random(8)
-    universe = list(range(12))
-    for _ in range(200):
-        a, b, c = (
-            frozenset(x for x in universe if rng.random() < 0.5) or frozenset({0})
-            for _ in range(3)
-        )
-        dab = jaccard_distance(a, b)
-        dbc = jaccard_distance(b, c)
-        dac = jaccard_distance(a, c)
-        assert dab == jaccard_distance(b, a)
-        assert dac <= dab + dbc + 1e-12
-        assert (dab == 0.0) == (a == b)
-
-
-def test_stability_definition(karate, karate_result):
-    communities = karate_result.communities
-    pool = [(c.nodes, c.psi) for c in communities]
-    best = communities[0]
-    with pytest.raises(NoLowerCommunity):
-        stability(best.nodes, best.psi, pool)
-    for c in communities[1:]:
-        lower = [p for p in pool if p[1] < c.psi]
-        expected = min(jaccard_distance(c.nodes, nodes) for nodes, _ in lower)
-        assert stability(c.nodes, c.psi, pool) == pytest.approx(expected, abs=1e-12)
-        assert c.stability == pytest.approx(expected, abs=1e-12)
-
-
-def test_stability_single_community():
-    with pytest.raises(NoLowerCommunity):
-        stability(frozenset({1, 2}), 0.3, [(frozenset({1, 2}), 0.3)])
