@@ -23,6 +23,7 @@ import argparse
 import csv
 import os
 import re
+import shutil
 import sys
 import time
 
@@ -99,15 +100,74 @@ def _policy(args) -> TieBreakPolicy:
     return TieBreakPolicy(mode=mode, rng_seed=args.rng_seed)
 
 
-def _write_text(path: str | None, text: str):
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        return
+def _write_files(outputs: list[tuple[str, str]]):
+    """Write every (path, text), or on a failed file write none of them.
+
+    "-" is standard output. A regular file, existing or new, is staged in a
+    temporary file beside it (beside a link's target, so links stay links)
+    that takes the old file's mode, and every target is replaced only once
+    all staging writes have succeeded; when two paths name one file the
+    later text wins. Standard output and paths that exist but are not
+    regular files (a device or a pipe) are written last, in order.
+    """
+    staged = {}  # real target -> (path as given, text)
+    direct = []  # (path as given, text)
+    for path, text in outputs:
+        if path == "-" or (os.path.exists(path) and not os.path.isfile(path)):
+            if os.path.isdir(path):
+                _fail(2, "output", f"{path}: is a directory")
+            direct.append((path, text))
+        else:
+            staged[os.path.realpath(path)] = (path, text)
+    temps = {}  # real target -> temporary file
+    path = None
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        for target, (path, text) in staged.items():
+            head, tail = os.path.split(target)
+            tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            temps[target] = tmp
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            if os.path.exists(target):
+                shutil.copymode(target, tmp)
+        for target, tmp in temps.items():
+            path = staged[target][0]
+            os.replace(tmp, target)
+        for path, text in direct:
+            if path == "-":
+                sys.stdout.write(text)
+            else:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
     except OSError as exc:
-        _fail(2, "output", str(exc))
+        _fail(2, "output", f"{path}: {exc.strerror or exc}")
+    finally:
+        for tmp in temps.values():
+            if os.path.exists(tmp):
+                os.remove(tmp)
+
+
+def _check_output_path(path: str | None, directory: bool = False):
+    """Fail before any work when an output path cannot be created.
+
+    A file needs an existing parent directory; a directory (created on
+    write) needs its nearest existing ancestor, or itself, to be a directory.
+    """
+    if path is None or path == "-":
+        return
+    if directory:
+        probe = os.path.abspath(path)
+        while not os.path.exists(probe):
+            probe = os.path.dirname(probe)
+        if not os.path.isdir(probe):
+            _fail(2, "output", f"{path}: {probe} is not a directory")
+    else:
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            _fail(2, "output", f"{path}: no such directory {parent}")
+        if os.path.isdir(path):
+            _fail(2, "output", f"{path}: is a directory")
 
 
 def _safe_token(label: str) -> str:
@@ -136,6 +196,8 @@ def cmd_detect(args) -> int:
     policy = _policy(args)
     if g.components > 1 and not args.allow_disconnected:
         _fail(3, "disconnected-graph", "input graph is disconnected; pass --allow-disconnected to proceed")
+    _check_output_path(args.out)
+    _check_output_path(args.trajectories, directory=True)
     started = time.perf_counter()
     seed_link = None
     if args.seed:
@@ -161,7 +223,7 @@ def cmd_detect(args) -> int:
         trajectory_dir=args.trajectories,
         seed_link=seed_link,
     )
-    _write_text(args.out, dumps_report(report))
+    _write_files([(args.out or "-", dumps_report(report))])
     print(
         f"detect: {len(result.trajectories)} seed run(s), "
         f"{len(result.communities)} communities, {elapsed:.3f}s",
@@ -209,7 +271,7 @@ def cmd_oracle(args) -> int:
         }
         if greedy_only:
             code = 1
-    _write_text(args.out, dumps_report(doc))
+    _write_files([(args.out or "-", dumps_report(doc))])
     if code:
         print(
             f"nodecut: error[compare]: {len(doc['compare']['greedy_only'])} "
@@ -254,7 +316,7 @@ def cmd_verify(args) -> int:
         "equivalence_tolerance": EQUIVALENCE_TOL,
         "max_equivalence_residual": None if max_residual is None else float(f"{max_residual:.6g}"),
     }
-    _write_text(None, dumps_report(doc))
+    _write_files([("-", dumps_report(doc))])
     if not certificate_ok:
         bad = [c["name"] for c in checks if not c["local_minimum"]]
         print(
@@ -299,14 +361,10 @@ def cmd_hierarchy(args) -> int:
         "pairs": pairs,
     }
     dot_text = dag_to_dot(dag)
-    if args.dot:
-        _write_text(args.dot, dot_text)
-    if args.json:
-        _write_text(args.json, dumps_report(doc))
-    if not args.dot:
-        sys.stdout.write(dot_text)
-    elif not args.json:
-        sys.stdout.write(dumps_report(doc))
+    outputs = [(args.dot or "-", dot_text)]
+    if args.dot or args.json:
+        outputs.append((args.json or "-", dumps_report(doc)))
+    _write_files(outputs)
     return 0
 
 
@@ -332,7 +390,7 @@ def cmd_linegraph(args) -> int:
         for k, l, w in lg.entries():
             lines.append(f'  "{k}" -- "{l}" [weight={w:.12g}];')
         lines.append("}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_files([(args.out or "-", "\n".join(lines) + "\n")])
     return 0
 
 

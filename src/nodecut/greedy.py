@@ -16,6 +16,20 @@ Ties within MOVE_TOL are broken by smallest node label (deterministic policy)
 or uniformly at random (random policy). Revisiting an already-recorded
 minimum escalates the escape move to the next-ranked candidate, and a phase
 budget of 10 * n aborts a run that cannot make progress.
+
+Suffix cache. Runs from different seeds fall into the same hollows and then
+replay the same escapes. Under the deterministic policy a run settles with
+recompute(), so what it does next depends only on the settled node set K,
+its visit count for K (the escape rank), the visit counts of the sets it
+settles on later, and its remaining phase budget. run_all_seeds therefore
+shares one cache per sweep (per worker under jobs > 1). When a run ends, each
+settle from which every later settle was a first visit publishes the rest of
+the run as a suffix of K: its steps, minima, settled sets, phase count and
+final state. A later run that settles on K for the first time splices the
+suffix in, renumbering its steps, only if none of the suffix's settled sets is
+among the sets it has visited and the suffix's phases fit its budget;
+otherwise it searches on. A spliced trajectory therefore equals the one the
+run would have computed, float for float. The random policy is never cached.
 """
 
 from __future__ import annotations
@@ -88,6 +102,24 @@ class Trajectory:
     final_nodes: frozenset[int]
     final_psi: float
     covers_graph: bool
+
+
+@dataclass(frozen=True)
+class _Suffix:
+    """The rest of a finished run from one of its settled node sets K.
+
+    steps and minima are the publishing run's own lists, read from index
+    start and minima_start; keys holds K and every set settled on after it.
+    """
+
+    steps: list[tuple[int, str, int | None, float, int]]
+    start: int
+    minima: list[frozenset[int]]
+    minima_start: int
+    keys: frozenset[frozenset[int]]
+    phases: int
+    final_nodes: frozenset[int]
+    final_psi: float
 
 
 @dataclass
@@ -204,19 +236,29 @@ def escape_step(state: SubgraphState, rng: random.Random | None = None, rank: in
     return x
 
 
-def run_from_seed(g: Graph, link_id: int, policy: TieBreakPolicy | None = None) -> Trajectory:
+def run_from_seed(
+    g: Graph,
+    link_id: int,
+    policy: TieBreakPolicy | None = None,
+    cache: dict[frozenset[int], _Suffix] | None = None,
+) -> Trajectory:
     """Run the full descent/prune/escape search from one seed link.
 
     Each state's frontier is scored once: cands holds the current state's
     scores and is rebuilt after every add, removing prune and recompute.
+    cache, shared by the runs of one sweep over g, holds run suffixes (see
+    the module docstring); it is ignored under the random policy.
     """
     policy = policy or TieBreakPolicy()
     rng = policy.rng_for(link_id)
+    if rng is not None:
+        cache = None
     u, v = g.link_ends[link_id]
     state = SubgraphState(g, {u, v})
     steps: list[tuple[int, str, int | None, float, int]] = []
     minima: list[frozenset[int]] = []
     visits: dict[frozenset[int], int] = {}
+    settles: list[tuple[frozenset[int], int, int, int, int]] = []  # key, seen, step, minimum, phase
     step_no = 0
     phases = 0
     max_phases = max(10 * g.n, 100)
@@ -232,6 +274,25 @@ def run_from_seed(g: Graph, link_id: int, policy: TieBreakPolicy | None = None) 
         log("add", x)
         return _addition_candidates(state)
 
+    def finish(final_nodes, final_psi, keys=frozenset()):
+        if cache is not None:
+            for key, seen, start, minima_start, phase in reversed(settles):
+                if seen:
+                    break
+                keys = keys | {key}
+                cache.setdefault(key, _Suffix(
+                    steps, start, minima, minima_start, keys, phases - phase, final_nodes, final_psi
+                ))
+        return Trajectory(
+            link_id=link_id,
+            seed=(u, v),
+            steps=steps,
+            minima=minima,
+            final_nodes=final_nodes,
+            final_psi=final_psi,
+            covers_graph=len(final_nodes) == g.n,
+        )
+
     cands = _addition_candidates(state)
     while True:
         # settle into a local minimum: descend, prune, re-descend
@@ -246,20 +307,24 @@ def run_from_seed(g: Graph, link_id: int, policy: TieBreakPolicy | None = None) 
         exact = state.recompute()  # recorded values never carry incremental drift
         key = state.nodes()
         seen = visits.get(key, 0)
+        suffix = cache.get(key) if cache is not None and not seen else None
+        if (
+            suffix is not None
+            and phases + suffix.phases <= max_phases
+            and suffix.keys.isdisjoint(visits)
+        ):
+            offset = len(steps) - suffix.start
+            steps.extend((n + offset, *row) for n, *row in suffix.steps[suffix.start :])
+            minima.extend(suffix.minima[suffix.minima_start :])
+            phases += suffix.phases
+            return finish(suffix.final_nodes, suffix.final_psi, suffix.keys)
         visits[key] = seen + 1
+        settles.append((key, seen, len(steps), len(minima), phases))
         if seen == 0 and exact > 0.0:
             minima.append(key)
             log("record-minimum", None)
         if not state.frontier:
-            return Trajectory(
-                link_id=link_id,
-                seed=(u, v),
-                steps=steps,
-                minima=minima,
-                final_nodes=key,
-                final_psi=exact,
-                covers_graph=len(key) == g.n,
-            )
+            return finish(key, exact)
         # climb out of the hollow, then fall into the next one
         cands = add(_addition_candidates(state), rank=seen)
         while cands and not _downhill(cands):
@@ -277,14 +342,19 @@ _WORKER: dict = {}
 def _init_worker(g: Graph, policy: TieBreakPolicy):
     _WORKER["g"] = g
     _WORKER["policy"] = policy
+    _WORKER["cache"] = {}
+
+
+def _run_guarded(g, link_id, policy, cache) -> Trajectory | tuple[int, str]:
+    # a failed seed must not abort the sweep; report it alongside the rest
+    try:
+        return run_from_seed(g, link_id, policy, cache)
+    except NodeCutError as exc:
+        return (link_id, str(exc))
 
 
 def _run_link(link_id: int) -> Trajectory | tuple[int, str]:
-    # a failed seed must not abort the sweep; report it alongside the rest
-    try:
-        return run_from_seed(_WORKER["g"], link_id, _WORKER["policy"])
-    except NodeCutError as exc:
-        return (link_id, str(exc))
+    return _run_guarded(_WORKER["g"], link_id, _WORKER["policy"], _WORKER["cache"])
 
 
 def run_all_seeds(
@@ -312,8 +382,8 @@ def run_all_seeds(
                 pool.map(_run_link, range(g.m), chunksize=max(1, g.m // (4 * jobs)))
             )
     else:
-        _init_worker(g, policy)
-        outcomes = [_run_link(lid) for lid in range(g.m)]
+        cache: dict[frozenset[int], _Suffix] = {}
+        outcomes = [_run_guarded(g, lid, policy, cache) for lid in range(g.m)]
     trajectories = [o for o in outcomes if isinstance(o, Trajectory)]
     failures = dict(o for o in outcomes if not isinstance(o, Trajectory))
     result = merge_trajectories(g, trajectories)

@@ -80,7 +80,8 @@ class SubgraphState:
         g = self.g
         self.in_w = [0.0] * g.n
         self.in_cnt = [0] * g.n
-        for i in self.members:
+        order = sorted(self.members)  # sum order must not depend on the set's history
+        for i in order:
             for j, w, _ in g.adj[i]:
                 self.in_w[j] += w
                 self.in_cnt[j] += 1
@@ -90,7 +91,7 @@ class SubgraphState:
         links_in = 0
         sigma = 0.0
         k_in = 0.0
-        for i in sorted(self.members):  # fixed summation order, as in sigma_and_k_in
+        for i in order:  # fixed summation order, as in sigma_and_k_in
             links_in += self.in_cnt[i]
             k_in += self.in_w[i]
             w_out = g.degrees[i] - self.in_w[i]
@@ -179,6 +180,10 @@ class SubgraphState:
             self.frontier.discard(i)
 
     def recompute(self) -> float:
-        """Force a from-scratch refresh of all caches; returns the exact psi."""
+        """Force a from-scratch refresh of all caches; returns the exact psi.
+
+        The refreshed state depends on the node set alone, not on the moves
+        that led to it.
+        """
         self._rebuild()
         return self.psi

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import stat
 import subprocess
 import sys
 
@@ -381,6 +382,106 @@ def test_output_write_failure_exit_2(tmp_path, capsys, write):
     code, out, err = run_cli(OUTPUT_WRITES[write](str(edges), str(report), str(bad)), capsys)
     _assert_one_error(code, err, "output")
     assert out == ""
+
+
+@pytest.mark.parametrize("where", ["out", "trajectories"])
+def test_detect_checks_output_paths_before_running_seeds(tmp_path, capsys, monkeypatch, where):
+    edges, report = _two_triangle_report(tmp_path)
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("seed runs started before the output paths were checked")
+
+    monkeypatch.setattr(cli, "run_all_seeds", no_run)
+    bad = {
+        "out": ["--out", str(tmp_path / "missing" / "r.json")],
+        "trajectories": ["--trajectories", str(report)],  # an existing file
+    }
+    capsys.readouterr()
+    code, out, err = run_cli(["detect", str(edges), *bad[where]], capsys)
+    _assert_one_error(code, err, "output")
+    assert out == ""
+
+
+def test_hierarchy_writes_both_outputs_or_neither(karate_report, tmp_path, capsys):
+    dot = tmp_path / "ok.dot"
+    before = set(tmp_path.iterdir())
+    code, out, err = run_cli(
+        ["hierarchy", "--report", str(karate_report), "--dot", str(dot),
+         "--json", str(tmp_path / "missing" / "x.json")],
+        capsys,
+    )
+    _assert_one_error(code, err, "output")
+    assert out == ""
+    assert set(tmp_path.iterdir()) == before  # no ok.dot, no temporary file
+
+
+def test_hierarchy_dash_waits_for_the_file_writes(karate_report, tmp_path, capsys):
+    """Standard output is written only after every file write succeeded."""
+    code, out, err = run_cli(
+        ["hierarchy", "--report", str(karate_report), "--dot", "-",
+         "--json", str(tmp_path / "missing" / "x.json")],
+        capsys,
+    )
+    _assert_one_error(code, err, "output")
+    assert out == ""
+
+
+def test_hierarchy_same_path_twice_keeps_the_later_text(karate_report, tmp_path, capsys):
+    (tmp_path / "out").mkdir()
+    both = tmp_path / "out" / "both.txt"
+    code, _, _ = run_cli(
+        ["hierarchy", "--report", str(karate_report), "--dot", str(both), "--json", str(both)],
+        capsys,
+    )
+    assert code == 0
+    assert json.loads(both.read_text())["pairs"]
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["both.txt"]
+
+
+def test_replaced_output_keeps_its_mode(tmp_path, capsys):
+    edges = tmp_path / "g.edges"
+    edges.write_text(TWO_TRIANGLES)
+    out = tmp_path / "r.json"
+    out.write_text("old")
+    out.chmod(0o640)
+    code, _, _ = run_cli(["detect", str(edges), "--out", str(out)], capsys)
+    assert code == 0
+    assert json.loads(out.read_text())["communities"]
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+
+def test_hierarchy_writes_through_a_symlink(karate_report, tmp_path, capsys):
+    real = tmp_path / "real.dot"
+    real.write_text("old")
+    link = tmp_path / "link.dot"
+    link.symlink_to(real)
+    code, _, _ = run_cli(["hierarchy", "--report", str(karate_report), "--dot", str(link)], capsys)
+    assert code == 0
+    assert link.is_symlink()
+    assert real.read_text().startswith("digraph")
+
+
+def test_hierarchy_dash_is_stdout(karate_report, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    args = ["hierarchy", "--report", str(karate_report), "--dot", "-", "--json", "p.json"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert out.startswith("digraph")
+    assert json.loads((tmp_path / "p.json").read_text())["pairs"]
+    assert not (tmp_path / "-").exists()
+
+
+def test_hierarchy_writes_dev_stdout_in_place(karate_report, tmp_path):
+    """A path that is not a regular file (here a pipe) is written, not replaced."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "nodecut.cli", "hierarchy", "--report", str(karate_report),
+         "--dot", "/dev/stdout", "--json", str(tmp_path / "pairs.json")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("digraph")
 
 
 def test_hierarchy_outputs(karate_report, tmp_path, capsys):

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nodecut import (
     DisconnectedGraph,
@@ -19,6 +21,7 @@ from nodecut import (
     run_from_seed,
     verify_local_minimum,
 )
+from nodecut.greedy import _Suffix
 from conftest import (
     KARATE_NODES,
     KARATE_PSI,
@@ -257,16 +260,56 @@ def test_failed_seed_does_not_abort_the_sweep(karate, monkeypatch):
 
     real = greedy_mod.run_from_seed
 
-    def flaky(g, link_id, policy=None):
+    def flaky(g, link_id, *args, **kwargs):
         if link_id == 5:
             raise OscillationError("synthetic failure")
-        return real(g, link_id, policy)
+        return real(g, link_id, *args, **kwargs)
 
     monkeypatch.setattr(greedy_mod, "run_from_seed", flaky)
     res = greedy_mod.run_all_seeds(karate)
     assert res.failures == {5: "synthetic failure"}
     assert len(res.trajectories) == karate.m - 1
     assert len(res.communities) == 7  # the other seeds still cover everything
+
+
+@settings(max_examples=30)
+@given(st.integers(4, 40), st.integers(0, 2**32 - 1), st.booleans())
+def test_shared_suffix_cache_changes_no_trajectory(n, seed, weighted):
+    """Every seed run with one shared cache equals the uncached run, float for float."""
+    rng = random.Random(seed)
+    make = random_weighted_graph if weighted else random_connected_graph
+    g = make(rng, n, rng.randrange(0, 2 * n))
+    cache = {}
+    cached = [run_from_seed(g, link_id, None, cache) for link_id in range(g.m)]
+    assert cached == [run_from_seed(g, link_id) for link_id in range(g.m)]
+
+
+def test_cache_refuses_a_suffix_that_would_change_the_run(karate):
+    """A suffix is spliced in only if none of its sets was visited and it fits the budget.
+
+    The planted suffix is bogus, so splicing it would show in the trajectory.
+    """
+    link_id = karate.find_link("25", "26")
+    plain = run_from_seed(karate, link_id)
+    first, second = plain.minima[:2]  # second is settled on after one escape phase
+
+    def planted(keys, phases):
+        bogus = _Suffix([(1, "add", 0, 0.5, 3)], 0, [], 0, frozenset(keys), phases, first, 0.5)
+        return {second: bogus}
+
+    budget = max(10 * karate.n, 100)
+    assert run_from_seed(karate, link_id, None, planted({second}, 0)) != plain  # reached
+    assert run_from_seed(karate, link_id, None, planted({second, first}, 0)) == plain
+    assert run_from_seed(karate, link_id, None, planted({second}, budget)) == plain
+
+
+def test_cache_is_not_used_under_the_random_policy(karate):
+    link_id = karate.find_link("25", "26")
+    policy = TieBreakPolicy("random", 1)
+    cache = {}
+    runs = [run_from_seed(karate, lid, policy, cache) for lid in range(karate.m)]
+    assert cache == {}
+    assert runs[link_id] == run_from_seed(karate, link_id, policy)
 
 
 @pytest.mark.parametrize(

@@ -201,3 +201,28 @@ def test_recompute_resets_drift(karate):
     s = SubgraphState(karate, c)
     exact = s.recompute()
     assert exact == pytest.approx(psi(karate, c), abs=0.0)
+
+
+def test_recompute_depends_on_the_node_set_alone():
+    """The same weighted node set, built directly or reached through a larger
+    set by adds and removes, is the same state after recompute, float for float.
+    """
+    g = random_weighted_graph(random.Random(2), 24, 30)
+    for seed in range(10):
+        target = random_connected_subgraph(random.Random(seed), g, 5)
+        direct = SubgraphState(g, target)
+        walked = SubgraphState(g, target)
+        added = []
+        while walked.frontier:
+            x = min(walked.frontier)
+            walked.apply_add(x)
+            added.append(x)
+        for x in reversed(added):
+            walked.apply_remove(x)
+        assert walked.members == direct.members
+        direct.recompute()
+        walked.recompute()
+        assert walked.in_w == direct.in_w
+        assert walked.sigma == direct.sigma
+        assert walked.k_in == direct.k_in
+        assert walked.psi == direct.psi
