@@ -20,9 +20,7 @@ on standard error.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
-import re
 import shutil
 import sys
 import time
@@ -51,7 +49,8 @@ from .report import (
     report_graph,
     same_graph_size,
     sorted_labels,
-    trajectory_rows,
+    trajectory_csv,
+    trajectory_file_name,
 )
 
 EQUIVALENCE_TOL = 1e-10
@@ -103,12 +102,16 @@ def _policy(args) -> TieBreakPolicy:
 def _write_files(outputs: list[tuple[str, str]]):
     """Write every (path, text), or on a failed file write none of them.
 
-    "-" is standard output. A regular file, existing or new, is staged in a
-    temporary file beside it (beside a link's target, so links stay links)
-    that takes the old file's mode, and every target is replaced only once
-    all staging writes have succeeded; when two paths name one file the
-    later text wins. Standard output and paths that exist but are not
-    regular files (a device or a pipe) are written last, in order.
+    The one writer of every file a command outputs: reports, DOT, JSON,
+    line graphs and trajectory CSVs. "-" is standard output. A regular
+    file, existing or new, is staged in a temporary file beside it (beside
+    a link's target, so links stay links) that takes the old file's mode,
+    and every target is replaced only once all staging writes have
+    succeeded; when two paths name one file the later text wins. Standard
+    output and paths that exist but are not regular files (a device or a
+    pipe) are written last, in order. Files get the text's UTF-8 bytes with
+    no newline translation. A failure ends with error[output] and the
+    message "<path>: <reason>".
     """
     staged = {}  # real target -> (path as given, text)
     direct = []  # (path as given, text)
@@ -127,7 +130,7 @@ def _write_files(outputs: list[tuple[str, str]]):
             tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             temps[target] = tmp
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
             if os.path.exists(target):
                 shutil.copymode(target, tmp)
@@ -138,7 +141,7 @@ def _write_files(outputs: list[tuple[str, str]]):
             if path == "-":
                 sys.stdout.write(text)
             else:
-                with open(path, "w", encoding="utf-8") as fh:
+                with open(path, "w", encoding="utf-8", newline="") as fh:
                     fh.write(text)
     except OSError as exc:
         _fail(2, "output", f"{path}: {exc.strerror or exc}")
@@ -170,28 +173,9 @@ def _check_output_path(path: str | None, directory: bool = False):
             _fail(2, "output", f"{path}: is a directory")
 
 
-def _safe_token(label: str) -> str:
-    return re.sub(r"[^A-Za-z0-9_.-]", "_", label)
-
-
-def _write_trajectories(g: Graph, trajectories, directory: str) -> dict[int, str]:
-    files = {}
-    try:
-        os.makedirs(directory, exist_ok=True)
-        for traj in trajectories:
-            u, v = traj.seed
-            name = f"seed-{traj.link_id:04d}-{_safe_token(g.labels[u])}-{_safe_token(g.labels[v])}.csv"
-            with open(os.path.join(directory, name), "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["step", "action", "node", "psi", "size"])
-                writer.writerows(trajectory_rows(g, traj))
-            files[traj.link_id] = name
-    except OSError as exc:
-        _fail(2, "output", str(exc))
-    return files
-
-
 def cmd_detect(args) -> int:
+    if args.jobs < 1:
+        _fail(2, "usage", f"--jobs must be at least 1, not {args.jobs}")
     g, source = _load_graph(args)
     policy = _policy(args)
     if g.components > 1 and not args.allow_disconnected:
@@ -210,20 +194,26 @@ def cmd_detect(args) -> int:
     else:
         result = run_all_seeds(g, policy, jobs=args.jobs, allow_disconnected=True)
     elapsed = time.perf_counter() - started
-    files = None
-    if args.trajectories:
-        files = _write_trajectories(g, result.trajectories, args.trajectories)
     report = build_report(
         g,
         result,
         policy,
         source,
         include_ground_state=args.include_ground_state,
-        trajectory_files=files,
         trajectory_dir=args.trajectories,
         seed_link=seed_link,
     )
-    _write_files([(args.out or "-", dumps_report(report))])
+    outputs = []
+    if args.trajectories:
+        outputs = [
+            (os.path.join(args.trajectories, trajectory_file_name(g, t)), trajectory_csv(g, t))
+            for t in result.trajectories
+        ]
+        try:
+            os.makedirs(args.trajectories, exist_ok=True)
+        except OSError as exc:
+            _fail(2, "output", f"{args.trajectories}: {exc.strerror or exc}")
+    _write_files(outputs + [(args.out or "-", dumps_report(report))])
     print(
         f"detect: {len(result.trajectories)} seed run(s), "
         f"{len(result.communities)} communities, {elapsed:.3f}s",
@@ -408,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--all-seeds", action="store_true", help="run every link (default)")
     p.add_argument("--tie-break", choices=["det", "rng"], default="det")
     p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes (at least 1)")
     p.add_argument("--out", help="write the JSON report here (default: stdout)")
     p.add_argument("--trajectories", metavar="DIR", help="write one move-log CSV per seed")
     p.add_argument("--include-ground-state", action="store_true")

@@ -374,12 +374,14 @@ def run_all_seeds(
         raise DisconnectedGraph(
             "input graph is disconnected; runs would be confined to seed components"
         )
-    if jobs > 1 and g.m > 1:
+    # the pool starts every worker it is given, so never more than there are seeds
+    workers = min(jobs, g.m)
+    if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(g, policy)
+            max_workers=workers, initializer=_init_worker, initargs=(g, policy)
         ) as pool:
             outcomes = list(
-                pool.map(_run_link, range(g.m), chunksize=max(1, g.m // (4 * jobs)))
+                pool.map(_run_link, range(g.m), chunksize=max(1, g.m // (4 * workers)))
             )
     else:
         cache: dict[frozenset[int], _Suffix] = {}

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import re
 
 from .errors import ReportError
 from .graph import Graph
@@ -19,6 +22,8 @@ __all__ = [
     "sorted_labels",
     "link_label_pairs",
     "trajectory_rows",
+    "trajectory_file_name",
+    "trajectory_csv",
 ]
 
 REPORT_VERSION = 1
@@ -65,11 +70,14 @@ def build_report(
     policy: TieBreakPolicy,
     source: str,
     include_ground_state: bool = False,
-    trajectory_files: dict[int, str] | None = None,
     trajectory_dir: str | None = None,
     seed_link: int | None = None,
 ) -> dict:
-    """Assemble the JSON-ready report document for a detection run."""
+    """Assemble the JSON-ready report document for a detection run.
+
+    With a trajectory_dir, the report lists each run's trajectory_file_name
+    in that directory.
+    """
     names = [f"C{i + 1}" for i in range(len(result.communities))]
     entries = [community_entry(g, n, c) for n, c in zip(names, result.communities)]
     covered = sum(1 for t in result.trajectories if t.covers_graph)
@@ -132,10 +140,10 @@ def build_report(
         },
         "trajectories": (
             None
-            if trajectory_files is None
+            if trajectory_dir is None
             else {
                 "directory": trajectory_dir,
-                "files": [trajectory_files[t.link_id] for t in result.trajectories],
+                "files": [trajectory_file_name(g, t) for t in result.trajectories],
             }
         ),
     }
@@ -201,7 +209,8 @@ def communities_from_report(g: Graph, report: dict) -> tuple[list[Community], li
     """Community records (indices against g) and names of a loaded report.
 
     The only reader of community entries. Raises ReportError when an entry
-    is malformed, two entries share a name, or an entry names a node or a
+    is malformed (nodes, links and boundary must be lists, each link a
+    two-item list), two entries share a name, or an entry names a node or a
     link that g lacks.
     """
     out = []
@@ -210,6 +219,10 @@ def communities_from_report(g: Graph, report: dict) -> tuple[list[Community], li
     for k, entry in enumerate(report["communities"]):
         try:
             name = str(entry["name"])
+            if not all(isinstance(entry[key], list) for key in ("nodes", "links", "boundary")):
+                raise TypeError("nodes, links and boundary must be lists")
+            if not all(isinstance(link, list) and len(link) == 2 for link in entry["links"]):
+                raise TypeError("each link must be a two-item list")
             out.append(
                 Community(
                     nodes=frozenset(g.index_of(lab) for lab in entry["nodes"]),
@@ -245,3 +258,18 @@ def trajectory_rows(g: Graph, traj: Trajectory) -> list[tuple[str, str, str, str
             )
         )
     return rows
+
+
+def trajectory_file_name(g: Graph, traj: Trajectory) -> str:
+    """CSV file name of one run, seed-<link id>-<u>-<v>.csv, with path-unsafe label characters as _."""
+    u, v = (re.sub(r"[^A-Za-z0-9_.-]", "_", g.labels[i]) for i in traj.seed)
+    return f"seed-{traj.link_id:04d}-{u}-{v}.csv"
+
+
+def trajectory_csv(g: Graph, traj: Trajectory) -> str:
+    """CSV text of one run: a header row, then trajectory_rows; lines end in CRLF."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["step", "action", "node", "psi", "size"])
+    writer.writerows(trajectory_rows(g, traj))
+    return buf.getvalue()

@@ -305,6 +305,16 @@ MALFORMED_REPORTS = {
     "no-graph-n": _edit("graph", "n"),
     "duplicate-name": _edit("communities", 1, "name", value="C1"),
     "node-not-in-graph": _edit("communities", 0, "nodes", value=["1", "2", "3", "99"]),
+    # one-character labels, so iterating the strings would name the same nodes and links
+    "nodes-a-string": lambda report: _edit(
+        "communities", 0, "nodes", value="".join(report["communities"][0]["nodes"])
+    )(report),
+    "link-a-string": lambda report: _edit(
+        "communities", 0, "links", value=["".join(link) for link in report["communities"][0]["links"]]
+    )(report),
+    "boundary-a-string": lambda report: _edit(
+        "communities", 0, "boundary", value="".join(report["communities"][0]["boundary"])
+    )(report),
     # otherwise valid JSON whose first community name holds byte 0xff
     "not-utf-8": lambda report: json.dumps(report).encode().replace(b'"C1"', b'"C\xff1"', 1),
 }
@@ -400,6 +410,80 @@ def test_detect_checks_output_paths_before_running_seeds(tmp_path, capsys, monke
     code, out, err = run_cli(["detect", str(edges), *bad[where]], capsys)
     _assert_one_error(code, err, "output")
     assert out == ""
+
+
+def test_detect_writes_all_outputs_or_none(tmp_path, capsys):
+    """A trajectory CSV that cannot be written leaves no report and no other CSV."""
+    edges = tmp_path / "twotri.edges"
+    edges.write_text(TWO_TRIANGLES)
+    traj = tmp_path / "traj"
+    blocker = traj / "seed-0006-5-6.csv"  # the last run's CSV name
+    blocker.mkdir(parents=True)
+    code, out, err = run_cli(
+        ["detect", str(edges), "--out", str(tmp_path / "r.json"), "--trajectories", str(traj)],
+        capsys,
+    )
+    _assert_one_error(code, err, "output")
+    assert err.startswith(f"nodecut: error[output]: {blocker}: ")
+    assert out == ""
+    assert not (tmp_path / "r.json").exists()
+    assert list(traj.iterdir()) == [blocker]
+
+
+def test_detect_trajectory_files_match_the_report(tmp_path, capsys):
+    """The report lists every CSV the run wrote, into a directory created with its parents."""
+    edges = tmp_path / "twotri.edges"
+    edges.write_text(TWO_TRIANGLES)
+    traj = tmp_path / "new" / "traj"
+    code, _, _ = run_cli(
+        ["detect", str(edges), "--out", str(tmp_path / "r.json"), "--trajectories", str(traj)],
+        capsys,
+    )
+    assert code == 0
+    listed = json.loads((tmp_path / "r.json").read_text())["trajectories"]
+    assert listed["directory"] == str(traj)
+    assert sorted(listed["files"]) == sorted(p.name for p in traj.iterdir())
+    assert len(listed["files"]) == 7
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_detect_jobs_below_one_exit_2(capsys, jobs):
+    code, out, err = run_cli(["detect", "--dataset", "karate", "--jobs", jobs], capsys)
+    _assert_one_error(code, err, "usage")
+    assert out == ""
+
+
+def test_detect_pool_has_no_more_workers_than_seeds(tmp_path, capsys, monkeypatch):
+    """--jobs above the link count starts one worker per link, not --jobs workers."""
+    from nodecut import greedy
+
+    started = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: records its size, maps in this process."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            started.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            started.append(chunksize)
+            return map(fn, iterable)
+
+    monkeypatch.setattr(greedy, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(greedy, "_WORKER", {})
+    serial, pooled = tmp_path / "serial.json", tmp_path / "pooled.json"
+    assert cli.main(["detect", "--dataset", "karate", "--out", str(serial)]) == 0
+    assert started == []
+    assert cli.main(["detect", "--dataset", "karate", "--jobs", "500", "--out", str(pooled)]) == 0
+    assert started == [78, 1]  # 78 links, so 78 workers and one link per task
+    assert pooled.read_bytes() == serial.read_bytes()
 
 
 def test_hierarchy_writes_both_outputs_or_neither(karate_report, tmp_path, capsys):
