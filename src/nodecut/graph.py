@@ -8,6 +8,7 @@ internal indices and link ids.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 from .errors import EdgeListError
@@ -71,6 +72,8 @@ class Graph:
         for lid, (u, v, w) in enumerate(links):
             if u == v:
                 raise EdgeListError(f"self-loop at node {labels[u]!r}")
+            if not math.isfinite(w):
+                raise EdgeListError(f"non-finite weight on link ({labels[u]}, {labels[v]})")
             if not (w > 0.0):
                 raise EdgeListError(f"non-positive weight on link ({labels[u]}, {labels[v]})")
             a, b = (u, v) if u < v else (v, u)
@@ -83,6 +86,9 @@ class Graph:
         self.labels = tuple(str(x) for x in labels)
         self.adj = tuple(tuple(sorted(lst)) for lst in nbrs)
         self.degrees = tuple(sum(w for _, w, _ in lst) for lst in self.adj)
+        for i, k in enumerate(self.degrees):
+            if not math.isfinite(k):
+                raise EdgeListError(f"degree of node {self.labels[i]!r} overflows to {k!r}")
         self.link_ends = tuple(ends)
         self.link_weights = tuple(weights)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
@@ -119,7 +125,9 @@ def load_edge_list(text, weighted: bool = False) -> Graph:
     Each non-empty line is "u v" (or "u v w" when weighted=True); '#' starts
     a comment running to end of line; labels are arbitrary tokens. Duplicate
     links are merged by summing weights, with a warning. Self-loops,
-    non-positive weights, and short lines are rejected with the line number.
+    non-positive or non-finite weights (inf, nan, or a number too large for
+    a float), merged weights that overflow, and short lines are rejected
+    with the line number.
     """
     if hasattr(text, "read"):
         text = text.read()
@@ -146,6 +154,8 @@ def load_edge_list(text, weighted: bool = False) -> Graph:
                 w = float(tokens[2])
             except ValueError:
                 raise EdgeListError(f"bad weight {tokens[2]!r}", line=lineno) from None
+            if not math.isfinite(w):
+                raise EdgeListError(f"non-finite weight {tokens[2]!r}", line=lineno)
         if not (w > 0.0):
             raise EdgeListError(f"non-positive weight {w!r}", line=lineno)
         uv = []
@@ -158,6 +168,11 @@ def load_edge_list(text, weighted: bool = False) -> Graph:
         if key in weight_of:
             warnings.warn(f"duplicate link {tokens[0]} {tokens[1]} at line {lineno}; weights merged")
             weight_of[key] += w
+            if not math.isfinite(weight_of[key]):
+                raise EdgeListError(
+                    f"merged weight of {tokens[0]} {tokens[1]} overflows to {weight_of[key]!r}",
+                    line=lineno,
+                )
         else:
             weight_of[key] = w
             order.append(key)

@@ -12,6 +12,11 @@ seed's whole component is covered:
   escape   at a local minimum (recorded), add the neighbor with the smallest
            cut increase, repeating until some addition is downhill again.
 
+Every step scores all candidate moves through SubgraphState.add_scores() and
+remove_scores(). The state caches each node's sigma delta, so after a move
+only the nodes within two hops of the moved node are rescored; every score is
+the same float a fresh psi_after_add / psi_after_remove call gives.
+
 Ties within MOVE_TOL are broken by smallest node label (deterministic policy)
 or uniformly at random (random policy). Revisiting an already-recorded
 minimum escalates the escape move to the next-ranked candidate, and a phase
@@ -136,14 +141,6 @@ class DetectionResult:
     failures: dict[int, str] = field(default_factory=dict)
 
 
-def _addition_candidates(state: SubgraphState) -> list[tuple[float, int]]:
-    """(psi change if added, node) for every frontier node of the current state."""
-    # sorted frontier: candidate order must not depend on set iteration order,
-    # or random tie-breaking would not be reproducible
-    value = state.psi
-    return [(state.psi_after_add(x) - value, x) for x in sorted(state.frontier)]
-
-
 def _select(
     g: Graph, cands: list[tuple[float, int]], rng: random.Random | None, rank: int = 0
 ) -> tuple[float, int]:
@@ -155,7 +152,7 @@ def _select(
     if rank:
         ordered = sorted(cands, key=lambda c: (c[0], g.rank[c[1]]))
         return ordered[min(rank, len(ordered) - 1)]
-    best = min(d for d, _ in cands)
+    best = min(cands)[0]
     tied = [c for c in cands if c[0] <= best + MOVE_TOL]
     if rng is not None and len(tied) > 1:
         return tied[rng.randrange(len(tied))]
@@ -163,7 +160,7 @@ def _select(
 
 
 def _downhill(cands: list[tuple[float, int]]) -> bool:
-    return bool(cands) and min(d for d, _ in cands) < -MOVE_TOL
+    return bool(cands) and min(cands)[0] < -MOVE_TOL
 
 
 def best_addition(
@@ -172,18 +169,13 @@ def best_addition(
     """External neighbor whose addition changes the cut the least (most downhill first)."""
     if not state.frontier:
         raise NoFrontier("subgraph already covers its component")
-    d, x = _select(state.g, _addition_candidates(state), rng)
+    d, x = _select(state.g, state.add_scores(), rng)
     return x, d
 
 
 def _removal_order(state: SubgraphState, rng: random.Random | None) -> list[tuple[float, int]]:
     """Removal candidates most-downhill first; ties shuffled or label-ordered."""
-    value = state.psi
-    cands = []
-    for x in sorted(state.members):
-        after = state.psi_after_remove(x)
-        if after is not None:
-            cands.append((after - value, x))
+    cands = state.remove_scores()
     if rng is None:
         cands.sort(key=lambda c: (c[0], state.g.rank[c[1]]))
         return cands
@@ -231,7 +223,7 @@ def escape_step(state: SubgraphState, rng: random.Random | None = None, rank: in
     """Add the neighbor with the smallest cut increase; rank picks worse ties on revisits."""
     if not state.frontier:
         raise NoFrontier("subgraph already covers its component")
-    _, x = _select(state.g, _addition_candidates(state), rng, rank)
+    _, x = _select(state.g, state.add_scores(), rng, rank)
     state.apply_add(x)
     return x
 
@@ -244,8 +236,9 @@ def run_from_seed(
 ) -> Trajectory:
     """Run the full descent/prune/escape search from one seed link.
 
-    Each state's frontier is scored once: cands holds the current state's
-    scores and is rebuilt after every add, removing prune and recompute.
+    cands holds the current state's addition scores and is rebuilt after
+    every add, removing prune and recompute; each rebuild recomputes only
+    the deltas those moves made stale.
     cache, shared by the runs of one sweep over g, holds run suffixes (see
     the module docstring); it is ignored under the random policy.
     """
@@ -272,7 +265,7 @@ def run_from_seed(
         _, x = _select(g, cands, rng, rank)
         state.apply_add(x)
         log("add", x)
-        return _addition_candidates(state)
+        return state.add_scores()
 
     def finish(final_nodes, final_psi, keys=frozenset()):
         if cache is not None:
@@ -293,7 +286,7 @@ def run_from_seed(
             covers_graph=len(final_nodes) == g.n,
         )
 
-    cands = _addition_candidates(state)
+    cands = state.add_scores()
     while True:
         # settle into a local minimum: descend, prune, re-descend
         while True:
@@ -301,7 +294,7 @@ def run_from_seed(
                 cands = add(cands)
             if not prune(state, rng, on_move=log):
                 break
-            cands = _addition_candidates(state)
+            cands = state.add_scores()
             if not _downhill(cands):
                 break
         exact = state.recompute()  # recorded values never carry incremental drift
@@ -326,7 +319,7 @@ def run_from_seed(
         if not state.frontier:
             return finish(key, exact)
         # climb out of the hollow, then fall into the next one
-        cands = add(_addition_candidates(state), rank=seen)
+        cands = add(state.add_scores(), rank=seen)
         while cands and not _downhill(cands):
             cands = add(cands)
         phases += 1
@@ -409,13 +402,16 @@ def merge_trajectories(g: Graph, trajectories: list[Trajectory]) -> DetectionRes
         key=lambda p: (p[0], -len(p[1]), sorted(g.rank[i] for i in p[1])),
     )
 
+    # node sets as int bitsets; the communities of strictly lower psi are
+    # the prefix of scored before the first one whose psi equals value
+    masks = [sum(1 << i for i in nodes) for _, nodes in scored]
     communities: list[Community] = []
-    for value, nodes in scored:
-        distances = []
-        for lower in communities:
-            if lower.psi < value:
-                union = len(nodes | lower.nodes)
-                distances.append((union - len(nodes & lower.nodes)) / union)
+    lower = 0
+    for (value, nodes), mask in zip(scored, masks):
+        while scored[lower][0] < value:
+            lower += 1
+        # |A ^ B| is the integer |A u B| - |A n B|
+        distances = [(mask ^ m).bit_count() / (mask | m).bit_count() for m in masks[:lower]]
         communities.append(
             Community(
                 nodes=nodes,

@@ -18,6 +18,15 @@ single-node move, using exact difference formulas for sigma:
 with k_in changing by +-2 * k_i_in(C). Internal link counts are tracked as
 integers so frontier membership and the k_in > 0 guard never depend on
 floating-point residue.
+
+The state also caches one exact sigma delta per node: the add delta of a
+frontier node, the remove delta of a member. Node i's delta reads only the
+members among its neighbors, their k_j_in, and k_i_in. A move of x changes
+x's role, the membership seen by x's neighbors and k_j_in of x's neighbors,
+so it invalidates exactly x, N(x), and N(j) for every member neighbor j of
+x: the ball of radius two around x. recompute() clears the whole cache. A
+stale entry is recomputed with the delta formula above, in adjacency order,
+so a cached delta is the same float a fresh delta_sigma_* call returns.
 """
 
 from __future__ import annotations
@@ -62,9 +71,16 @@ class SubgraphState:
     Single-owner: one state per search run. The underlying Graph is shared
     and never mutated. in_w/in_cnt are maintained for every node so both
     members and frontier nodes can be scored without recomputation.
+
+    delta[i] caches node i's exact sigma delta: the add delta of a frontier
+    node, the remove delta of a member, None when stale (always None for
+    other nodes). A move of x marks stale x, every neighbor of x, and every
+    neighbor of a member neighbor of x; recompute() marks every node stale.
+    add_scores() and remove_scores() score all candidate moves, recomputing
+    only stale deltas, and the moves reuse a cached delta.
     """
 
-    __slots__ = ("g", "members", "frontier", "in_w", "in_cnt", "links_in", "sigma", "k_in")
+    __slots__ = ("g", "members", "frontier", "in_w", "in_cnt", "links_in", "sigma", "k_in", "delta")
 
     def __init__(self, g: Graph, nodes):
         self.g = g
@@ -80,6 +96,7 @@ class SubgraphState:
         g = self.g
         self.in_w = [0.0] * g.n
         self.in_cnt = [0] * g.n
+        self.delta = [None] * g.n
         order = sorted(self.members)  # sum order must not depend on the set's history
         for i in order:
             for j, w, _ in g.adj[i]:
@@ -110,29 +127,39 @@ class SubgraphState:
     def nodes(self) -> frozenset[int]:
         return frozenset(self.members)
 
+    def _add_delta(self, i: int) -> float:
+        """delta_sigma_add without its argument checks."""
+        g = self.g
+        members, in_w, degrees = self.members, self.in_w, g.degrees
+        acc = 0.0
+        for j, w, _ in g.adj[i]:
+            if j in members:
+                acc += w * (2.0 * (degrees[j] - in_w[j]) - w) / degrees[j]
+        return acc - in_w[i] * in_w[i] / degrees[i]
+
+    def _remove_delta(self, i: int) -> float:
+        """delta_sigma_remove without its argument check."""
+        g = self.g
+        members, in_w, degrees = self.members, self.in_w, g.degrees
+        acc = 0.0
+        for j, w, _ in g.adj[i]:
+            if j in members:
+                acc += w * (2.0 * (degrees[j] - in_w[j]) + w) / degrees[j]
+        return in_w[i] * in_w[i] / degrees[i] - acc
+
     def delta_sigma_add(self, i: int) -> float:
         """Exact change of sigma if external neighbor i joined the set."""
         if i in self.members:
             raise NotANeighbor(f"node {self.g.labels[i]} is already a member")
         if self.in_cnt[i] == 0:
             raise NotANeighbor(f"node {self.g.labels[i]} is not adjacent to the set")
-        g = self.g
-        acc = 0.0
-        for j, w, _ in g.adj[i]:
-            if j in self.members:
-                acc += w * (2.0 * (g.degrees[j] - self.in_w[j]) - w) / g.degrees[j]
-        return acc - self.in_w[i] * self.in_w[i] / g.degrees[i]
+        return self._add_delta(i)
 
     def delta_sigma_remove(self, i: int) -> float:
         """Exact change of sigma if member i left the set."""
         if i not in self.members:
             raise NotAMember(f"node {self.g.labels[i]} is not a member")
-        g = self.g
-        acc = 0.0
-        for j, w, _ in g.adj[i]:
-            if j in self.members:
-                acc += w * (2.0 * (g.degrees[j] - self.in_w[j]) + w) / g.degrees[j]
-        return self.in_w[i] * self.in_w[i] / g.degrees[i] - acc
+        return self._remove_delta(i)
 
     def psi_after_add(self, i: int) -> float:
         sigma = self.sigma + self.delta_sigma_add(i)
@@ -147,8 +174,60 @@ class SubgraphState:
         sigma = self.sigma + self.delta_sigma_remove(i)
         return sigma / (self.k_in - 2.0 * self.in_w[i]) if sigma > 0.0 else 0.0
 
+    def add_scores(self) -> list[tuple[float, int]]:
+        """(psi change if added, node) for every frontier node, in node order.
+
+        Each change is the float psi_after_add(x) - psi; only stale deltas
+        are recomputed.
+        """
+        delta, in_w, sigma, k_in = self.delta, self.in_w, self.sigma, self.k_in
+        value = self.psi
+        scores = []
+        for x in sorted(self.frontier):
+            d = delta[x]
+            if d is None:
+                d = delta[x] = self._add_delta(x)
+            after = sigma + d
+            scores.append(((after / (k_in + 2.0 * in_w[x]) if after > 0.0 else 0.0) - value, x))
+        return scores
+
+    def remove_scores(self) -> list[tuple[float, int]]:
+        """(psi change if removed, node) for every member whose removal keeps an
+        internal link, in node order.
+
+        Each change is the float psi_after_remove(x) - psi; only stale deltas
+        are recomputed.
+        """
+        delta, in_w, in_cnt, sigma, k_in = self.delta, self.in_w, self.in_cnt, self.sigma, self.k_in
+        links_in = self.links_in
+        value = self.psi
+        scores = []
+        for x in sorted(self.members):
+            if in_cnt[x] == links_in:
+                continue
+            d = delta[x]
+            if d is None:
+                d = delta[x] = self._remove_delta(x)
+            after = sigma + d
+            scores.append(((after / (k_in - 2.0 * in_w[x]) if after > 0.0 else 0.0) - value, x))
+        return scores
+
+    def _mark_stale(self, x: int) -> None:
+        """Drop every cached delta a move of x changed: x, N(x), and N(j) for
+        each member neighbor j of x."""
+        delta, members, adj = self.delta, self.members, self.g.adj
+        delta[x] = None
+        for j, _, _ in adj[x]:
+            delta[j] = None
+            if j in members:
+                for k, _, _ in adj[j]:
+                    delta[k] = None
+
     def apply_add(self, i: int) -> None:
-        self.sigma += self.delta_sigma_add(i)
+        d = self.delta[i]
+        if d is None or i not in self.frontier:
+            d = self.delta_sigma_add(i)  # also rejects members and non-neighbors
+        self.sigma += d
         self.k_in += 2.0 * self.in_w[i]
         self.links_in += self.in_cnt[i]
         self.members.add(i)
@@ -158,13 +237,15 @@ class SubgraphState:
             self.in_cnt[j] += 1
             if j not in self.members and j not in self.frontier:
                 self.frontier.add(j)
+        self._mark_stale(i)
 
     def apply_remove(self, i: int) -> None:
         if i not in self.members:
             raise NotAMember(f"node {self.g.labels[i]} is not a member")
         if self.links_in == self.in_cnt[i]:
             raise ZeroInternalDegree("removal would leave no internal links")
-        self.sigma += self.delta_sigma_remove(i)
+        d = self.delta[i]
+        self.sigma += self._remove_delta(i) if d is None else d
         self.k_in -= 2.0 * self.in_w[i]
         self.links_in -= self.in_cnt[i]
         self.members.remove(i)
@@ -178,6 +259,7 @@ class SubgraphState:
             self.frontier.add(i)
         else:
             self.frontier.discard(i)
+        self._mark_stale(i)
 
     def recompute(self) -> float:
         """Force a from-scratch refresh of all caches; returns the exact psi.

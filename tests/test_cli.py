@@ -340,6 +340,23 @@ def _assert_one_error(code, err, kind="report"):
     assert len(lines) == 1 and lines[0].startswith(f"nodecut: error[{kind}]: "), err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1 2 inf\n2 3 1\n1 3 1\n3 4 1\n",
+        "1 2 1e309\n2 3 1\n1 3 1\n3 4 1\n",
+        "1 2 1e308\n1 3 1e308\n2 3 1\n3 4 1\n",  # node 1's degree overflows
+    ],
+    ids=["inf", "overflowing-literal", "overflowing-degree"],
+)
+def test_detect_rejects_non_finite_weights(tmp_path, capsys, text):
+    edges = tmp_path / "huge.edges"
+    edges.write_text(text)
+    code, out, err = run_cli(["detect", "--weighted", str(edges)], capsys)
+    _assert_one_error(code, err, "edge-list")
+    assert out == ""
+
+
 @pytest.mark.parametrize("command", sorted(REPORT_COMMANDS))
 @pytest.mark.parametrize("shape", list(MALFORMED_REPORTS))
 def test_verify_malformed_report_exit_2(tmp_path, capsys, command, shape):
@@ -629,6 +646,14 @@ def test_usage_requires_input(capsys):
     assert "error[usage]" in err
     code, _, err = run_cli(["detect", "--dataset", "karate", "other.edges"], capsys)
     assert code == 2
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = subprocess.run(
+        [sys.executable, "-m", "nodecut", "--help"], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: nodecut")
 
 
 def test_console_script_entry_point():

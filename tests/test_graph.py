@@ -6,6 +6,7 @@ import pytest
 
 from nodecut import (
     EdgeListError,
+    Graph,
     boundary_nodes,
     edge_list_text,
     induced_links,
@@ -68,6 +69,30 @@ def test_rejections_carry_line_numbers():
         load_edge_list("1 2 3\n")
     with pytest.raises(EdgeListError, match="line 1.*bad weight"):
         load_edge_list("1 2 heavy\n", weighted=True)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [("1 2 1\n2 3 inf\n", 2), ("1 2 1e309\n", 1), ("1 2 -inf\n", 1), ("1 2 nan\n", 1)],
+)
+def test_non_finite_weights_are_rejected(text, line):
+    with pytest.raises(EdgeListError, match=f"line {line}: non-finite weight"):
+        load_edge_list(text, weighted=True)
+
+
+def test_merged_weight_overflow_is_rejected():
+    with pytest.warns(UserWarning, match="duplicate"):
+        with pytest.raises(EdgeListError, match="line 2: merged weight of 2 1 overflows"):
+            load_edge_list("1 2 1e308\n2 1 1e308\n", weighted=True)
+
+
+def test_graph_rejects_non_finite_weights_and_degrees():
+    with pytest.raises(EdgeListError, match="non-finite weight on link"):
+        Graph(["a", "b"], [(0, 1, float("inf"))])
+    with pytest.raises(EdgeListError, match="degree of node 'a' overflows"):
+        Graph(["a", "b", "c"], [(0, 1, 1e308), (0, 2, 1e308)])
+    with pytest.raises(EdgeListError, match="degree of node '1' overflows"):
+        load_edge_list("1 2 1e308\n1 3 1e308\n", weighted=True)
 
 
 def test_labels_are_arbitrary_tokens():

@@ -316,32 +316,80 @@ def test_cache_is_not_used_under_the_random_policy(karate):
     "policy", [TieBreakPolicy(), TieBreakPolicy("random", 1)], ids=["det", "rng"]
 )
 def test_each_state_is_scored_once(karate, monkeypatch, policy):
-    """No frontier node is scored twice without a move or recompute in between."""
-    scored, repeats, evaluations = set(), [], []
-    score = SubgraphState.psi_after_add
+    """No node's sigma delta is computed twice without a move or recompute in
+    between, and cached deltas make most scores free.
+    """
+    computed, repeats, evaluations, scores = set(), [], [], []
 
-    def counted_score(state, i):
-        if i in scored:
-            repeats.append(karate.labels[i])
-        scored.add(i)
-        evaluations.append(i)
-        return score(state, i)
+    def counted(kind, method):
+        def wrapper(state, i):
+            if (kind, i) in computed:
+                repeats.append((kind, karate.labels[i]))
+            computed.add((kind, i))
+            evaluations.append(i)
+            return method(state, i)
+
+        return wrapper
+
+    def listed(method):
+        def wrapper(state):
+            out = method(state)
+            scores.extend(out)
+            return out
+
+        return wrapper
 
     def clearing(method):
         def wrapper(state, *args):
-            scored.clear()
+            computed.clear()
             return method(state, *args)
 
         return wrapper
 
-    monkeypatch.setattr(SubgraphState, "psi_after_add", counted_score)
+    monkeypatch.setattr(SubgraphState, "_add_delta", counted("add", SubgraphState._add_delta))
+    monkeypatch.setattr(SubgraphState, "_remove_delta", counted("remove", SubgraphState._remove_delta))
+    for name in ("add_scores", "remove_scores"):
+        monkeypatch.setattr(SubgraphState, name, listed(getattr(SubgraphState, name)))
     for name in ("apply_add", "apply_remove", "recompute"):
         monkeypatch.setattr(SubgraphState, name, clearing(getattr(SubgraphState, name)))
     for link_id in range(karate.m):
-        scored.clear()
+        computed.clear()
         run_from_seed(karate, link_id, policy)
     assert evaluations
     assert not repeats
+    assert len(evaluations) < len(scores)
+
+
+def _reference_add_scores(state):
+    value = state.psi
+    return [(state.psi_after_add(x) - value, x) for x in sorted(state.frontier)]
+
+
+def _reference_remove_scores(state):
+    value = state.psi
+    return [
+        (after - value, x)
+        for x in sorted(state.members)
+        if (after := state.psi_after_remove(x)) is not None
+    ]
+
+
+@pytest.mark.parametrize(
+    "policy", [TieBreakPolicy(), TieBreakPolicy("random", 4)], ids=["det", "rng"]
+)
+def test_cached_scoring_matches_a_reference_scorer(monkeypatch, policy):
+    """Sweeps scored from cached deltas equal, float for float, sweeps that
+    score every candidate afresh through the public psi_after_* methods."""
+    rng = random.Random(23)
+    graphs = [random_connected_graph(rng, n, n) for n in (12, 18, 24)]
+    graphs += [random_weighted_graph(rng, n, n) for n in (12, 18, 24)]
+    cached = [run_all_seeds(g, policy) for g in graphs]
+    monkeypatch.setattr(SubgraphState, "add_scores", _reference_add_scores)
+    monkeypatch.setattr(SubgraphState, "remove_scores", _reference_remove_scores)
+    for g, got in zip(graphs, cached):
+        want = run_all_seeds(g, policy)
+        assert got.trajectories == want.trajectories
+        assert got.communities == want.communities
 
 
 def test_tie_break_policy_validation():

@@ -65,6 +65,8 @@ BAD_LINES = st.sampled_from(
         (True, "a b 0"),
         (True, "a b -1.5"),
         (True, "a b nan"),
+        (True, "a b inf"),
+        (True, "a b 1e309"),  # overflows to inf when parsed
         (True, "x x 1"),
     ]
 )

@@ -196,6 +196,53 @@ def test_incremental_matches_scratch_random_walk(weighted):
             assert s.k_in == pytest.approx(k_in, rel=1e-9)
 
 
+def _check_cached_deltas(s):
+    """Every cached delta is, bit for bit, the delta a fresh call computes."""
+    for i, d in enumerate(s.delta):
+        if d is None:
+            continue
+        if i in s.members:
+            assert d == s.delta_sigma_remove(i)
+        else:
+            assert i in s.frontier
+            assert d == s.delta_sigma_add(i)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_cached_deltas_match_fresh_random_walk(weighted):
+    rng = random.Random(37 if weighted else 17)
+    for trial in range(4):
+        n = rng.randrange(8, 24)
+        g = (
+            random_weighted_graph(rng, n, 2 * n)
+            if weighted
+            else random_connected_graph(rng, n, 2 * n)
+        )
+        u, v = g.link_ends[rng.randrange(g.m)]
+        s = SubgraphState(g, {u, v})
+        for _ in range(300):
+            value = s.psi
+            adds = s.add_scores()
+            removes = s.remove_scores()
+            assert adds == [(s.psi_after_add(x) - value, x) for x in sorted(s.frontier)]
+            assert removes == [
+                (after - value, x)
+                for x in sorted(s.members)
+                if (after := s.psi_after_remove(x)) is not None
+            ]
+            assert all(s.delta[x] is not None for _, x in adds + removes)
+            _check_cached_deltas(s)
+            r = rng.random()
+            if r < 0.1:
+                s.recompute()
+                assert s.delta == [None] * g.n
+            elif r < 0.6 and adds:
+                s.apply_add(rng.choice(adds)[1])
+            elif removes:
+                s.apply_remove(rng.choice(removes)[1])
+            _check_cached_deltas(s)  # what survived the move is still exact
+
+
 def test_recompute_resets_drift(karate):
     c = indices_of(karate, KARATE_NODES["C3"])
     s = SubgraphState(karate, c)
