@@ -23,6 +23,7 @@ from .errors import (
     ZeroInternalDegree,
 )
 from .graph import (
+    MAX_WEIGHT_RATIO,
     Graph,
     boundary_nodes,
     connected_components,
@@ -71,6 +72,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Graph",
+    "MAX_WEIGHT_RATIO",
     "load_edge_list",
     "edge_list_text",
     "induced_links",

@@ -14,6 +14,7 @@ import warnings
 from .errors import EdgeListError
 
 __all__ = [
+    "MAX_WEIGHT_RATIO",
     "Graph",
     "load_edge_list",
     "edge_list_text",
@@ -25,6 +26,10 @@ __all__ = [
     "connected_components",
     "label_sort_key",
 ]
+
+
+# Largest accepted ratio of the heaviest to the lightest link weight; see Graph.__init__.
+MAX_WEIGHT_RATIO = 1e12
 
 
 def label_sort_key(label: str):
@@ -64,6 +69,13 @@ class Graph:
 
         Endpoints must be distinct and already deduplicated; use load_edge_list
         for raw text with duplicate or comment handling.
+
+        Weights must be finite, positive and at most MAX_WEIGHT_RATIO apart.
+        Above a ratio of 2**53 a light link vanishes from a float sum holding a
+        heavy one, so a removal's remaining internal degree can cancel to 0 and
+        its score divide by zero. 1e12 leaves a factor of about 9000 for the
+        rounding error summed over links and moves, and is the ratio at which a
+        light link's share of psi falls to MOVE_TOL, below which moves tie anyway.
         """
         n = len(labels)
         ends = []
@@ -81,6 +93,13 @@ class Graph:
             weights.append(float(w))
             nbrs[a].append((b, float(w), lid))
             nbrs[b].append((a, float(w), lid))
+        if weights:
+            (hi, (a, b)), (lo, (c, d)) = max(zip(weights, ends)), min(zip(weights, ends))
+            if hi > MAX_WEIGHT_RATIO * lo:
+                raise EdgeListError(
+                    f"weight {hi!r} on link ({labels[a]}, {labels[b]}) is more than "
+                    f"{MAX_WEIGHT_RATIO:g} times weight {lo!r} on link ({labels[c]}, {labels[d]})"
+                )
         self.n = n
         self.m = len(ends)
         self.labels = tuple(str(x) for x in labels)
@@ -128,6 +147,7 @@ def load_edge_list(text, weighted: bool = False) -> Graph:
     non-positive or non-finite weights (inf, nan, or a number too large for
     a float), merged weights that overflow, and short lines are rejected
     with the line number.
+    Weights further apart than MAX_WEIGHT_RATIO are rejected by Graph.
     """
     if hasattr(text, "read"):
         text = text.read()

@@ -19,22 +19,22 @@ the same float a fresh psi_after_add / psi_after_remove call gives.
 
 Ties within MOVE_TOL are broken by smallest node label (deterministic policy)
 or uniformly at random (random policy). Revisiting an already-recorded
-minimum escalates the escape move to the next-ranked candidate, and a phase
-budget of 10 * n aborts a run that cannot make progress.
+minimum escalates the escape move to the next-ranked candidate, and a budget
+of max(10 * n, 100) escape phases aborts a run that cannot make progress.
 
-Suffix cache. Runs from different seeds fall into the same hollows and then
+Phase cache. Runs from different seeds fall into the same hollows and then
 replay the same escapes. Under the deterministic policy a run settles with
-recompute(), so what it does next depends only on the settled node set K,
-its visit count for K (the escape rank), the visit counts of the sets it
-settles on later, and its remaining phase budget. run_all_seeds therefore
-shares one cache per sweep (per worker under jobs > 1). When a run ends, each
-settle from which every later settle was a first visit publishes the rest of
-the run as a suffix of K: its steps, minima, settled sets, phase count and
-final state. A later run that settles on K for the first time splices the
-suffix in, renumbering its steps, only if none of the suffix's settled sets is
-among the sets it has visited and the suffix's phases fit its budget;
-otherwise it searches on. A spliced trajectory therefore equals the one the
-run would have computed, float for float. The random policy is never cached.
+recompute(), after which the state depends on the settled node set K alone,
+so the phase that follows (the escape and the descent and pruning into the
+next settled set) depends only on K and the escape rank, the run's earlier
+visit count for K. run_all_seeds therefore shares one dict per sweep (per
+worker under jobs > 1) mapping (K, rank) to that phase: its step rows
+without step numbers, the next settled set, its exact psi and whether its
+frontier is empty. A run replays a cached phase with its own step numbers
+and computes and stores a missing one, first rebuilding the state at K if a
+replayed phase left it elsewhere. Visits, records and the phase budget are
+kept per run either way, so a cached trajectory equals the uncached one,
+float for float. The random policy never reads or writes the cache.
 """
 
 from __future__ import annotations
@@ -109,22 +109,8 @@ class Trajectory:
     covers_graph: bool
 
 
-@dataclass(frozen=True)
-class _Suffix:
-    """The rest of a finished run from one of its settled node sets K.
-
-    steps and minima are the publishing run's own lists, read from index
-    start and minima_start; keys holds K and every set settled on after it.
-    """
-
-    steps: list[tuple[int, str, int | None, float, int]]
-    start: int
-    minima: list[frozenset[int]]
-    minima_start: int
-    keys: frozenset[frozenset[int]]
-    phases: int
-    final_nodes: frozenset[int]
-    final_psi: float
+# A cached phase: (rows without step numbers, next settled set, its psi, frontier empty).
+_Phase = tuple[list[tuple[str, int | None, float, int]], frozenset[int], float, bool]
 
 
 @dataclass
@@ -232,15 +218,16 @@ def run_from_seed(
     g: Graph,
     link_id: int,
     policy: TieBreakPolicy | None = None,
-    cache: dict[frozenset[int], _Suffix] | None = None,
+    cache: dict[tuple[frozenset[int], int], _Phase] | None = None,
 ) -> Trajectory:
     """Run the full descent/prune/escape search from one seed link.
 
     cands holds the current state's addition scores and is rebuilt after
     every add, removing prune and recompute; each rebuild recomputes only
     the deltas those moves made stale.
-    cache, shared by the runs of one sweep over g, holds run suffixes (see
-    the module docstring); it is ignored under the random policy.
+    cache, shared by the runs of one sweep over g, maps (settled set, escape
+    rank) to the phase that follows (see the module docstring); it is ignored
+    under the random policy.
     """
     policy = policy or TieBreakPolicy()
     rng = policy.rng_for(link_id)
@@ -251,15 +238,11 @@ def run_from_seed(
     steps: list[tuple[int, str, int | None, float, int]] = []
     minima: list[frozenset[int]] = []
     visits: dict[frozenset[int], int] = {}
-    settles: list[tuple[frozenset[int], int, int, int, int]] = []  # key, seen, step, minimum, phase
-    step_no = 0
     phases = 0
     max_phases = max(10 * g.n, 100)
 
     def log(action, node):
-        nonlocal step_no
-        step_no += 1
-        steps.append((step_no, action, node, state.psi, len(state.members)))
+        steps.append((len(steps) + 1, action, node, state.psi, len(state.members)))
 
     def add(cands, rank=0):
         _, x = _select(g, cands, rng, rank)
@@ -267,28 +250,9 @@ def run_from_seed(
         log("add", x)
         return state.add_scores()
 
-    def finish(final_nodes, final_psi, keys=frozenset()):
-        if cache is not None:
-            for key, seen, start, minima_start, phase in reversed(settles):
-                if seen:
-                    break
-                keys = keys | {key}
-                cache.setdefault(key, _Suffix(
-                    steps, start, minima, minima_start, keys, phases - phase, final_nodes, final_psi
-                ))
-        return Trajectory(
-            link_id=link_id,
-            seed=(u, v),
-            steps=steps,
-            minima=minima,
-            final_nodes=final_nodes,
-            final_psi=final_psi,
-            covers_graph=len(final_nodes) == g.n,
-        )
-
-    cands = state.add_scores()
-    while True:
-        # settle into a local minimum: descend, prune, re-descend
+    def settle(cands) -> tuple[frozenset[int], float, bool]:
+        """Descend, prune, re-descend; return the settled set, its exact psi
+        and whether its frontier is empty."""
         while True:
             while _downhill(cands):
                 cands = add(cands)
@@ -298,35 +262,46 @@ def run_from_seed(
             if not _downhill(cands):
                 break
         exact = state.recompute()  # recorded values never carry incremental drift
-        key = state.nodes()
+        return state.nodes(), exact, not state.frontier
+
+    key, exact, done = settle(state.add_scores())
+    while True:
         seen = visits.get(key, 0)
-        suffix = cache.get(key) if cache is not None and not seen else None
-        if (
-            suffix is not None
-            and phases + suffix.phases <= max_phases
-            and suffix.keys.isdisjoint(visits)
-        ):
-            offset = len(steps) - suffix.start
-            steps.extend((n + offset, *row) for n, *row in suffix.steps[suffix.start :])
-            minima.extend(suffix.minima[suffix.minima_start :])
-            phases += suffix.phases
-            return finish(suffix.final_nodes, suffix.final_psi, suffix.keys)
         visits[key] = seen + 1
-        settles.append((key, seen, len(steps), len(minima), phases))
         if seen == 0 and exact > 0.0:
             minima.append(key)
-            log("record-minimum", None)
-        if not state.frontier:
-            return finish(key, exact)
-        # climb out of the hollow, then fall into the next one
-        cands = add(state.add_scores(), rank=seen)
-        while cands and not _downhill(cands):
-            cands = add(cands)
+            steps.append((len(steps) + 1, "record-minimum", None, exact, len(key)))
+        if done:
+            return Trajectory(
+                link_id=link_id,
+                seed=(u, v),
+                steps=steps,
+                minima=minima,
+                final_nodes=key,
+                final_psi=exact,
+                covers_graph=len(key) == g.n,
+            )
         phases += 1
         if phases > max_phases:
             raise OscillationError(
                 f"seed {g.link_label_pair(link_id)}: no progress after {phases} phases"
             )
+        phase = cache.get((key, seen)) if cache is not None else None
+        if phase is not None:
+            rows, key, exact, done = phase
+            steps.extend((n, *row) for n, row in enumerate(rows, len(steps) + 1))
+            continue
+        if state.members != key:
+            state = SubgraphState(g, key)  # a cached phase left the live state behind
+        start = len(steps)
+        # climb out of the hollow, then fall into the next one
+        cands = add(state.add_scores(), rank=seen)
+        while cands and not _downhill(cands):
+            cands = add(cands)
+        settled = settle(cands)
+        if cache is not None:
+            cache[key, seen] = ([row[1:] for row in steps[start:]], *settled)
+        key, exact, done = settled
 
 
 _WORKER: dict = {}
@@ -377,7 +352,7 @@ def run_all_seeds(
                 pool.map(_run_link, range(g.m), chunksize=max(1, g.m // (4 * workers)))
             )
     else:
-        cache: dict[frozenset[int], _Suffix] = {}
+        cache: dict[tuple[frozenset[int], int], _Phase] = {}
         outcomes = [_run_guarded(g, lid, policy, cache) for lid in range(g.m)]
     trajectories = [o for o in outcomes if isinstance(o, Trajectory)]
     failures = dict(o for o in outcomes if not isinstance(o, Trajectory))

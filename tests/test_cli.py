@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from nodecut import cli
+from nodecut import MAX_WEIGHT_RATIO, cli
 from conftest import KARATE_NODES, PATH3, TWO_TRIANGLES
 
 
@@ -355,6 +355,25 @@ def test_detect_rejects_non_finite_weights(tmp_path, capsys, text):
     code, out, err = run_cli(["detect", "--weighted", str(edges)], capsys)
     _assert_one_error(code, err, "edge-list")
     assert out == ""
+
+
+@pytest.mark.parametrize("heavy", ["1e20", "1e17"])
+def test_detect_rejects_a_weight_spread_beyond_the_bound(tmp_path, capsys, heavy):
+    """Beyond about 2**53 apart, a removal's remaining internal degree cancels to 0.0."""
+    edges = tmp_path / "spread.edges"
+    edges.write_text(f"1 2 {heavy}\n2 3 1\n1 3 1\n3 4 1\n")
+    code, out, err = run_cli(["detect", "--weighted", str(edges)], capsys)
+    _assert_one_error(code, err, "edge-list")
+    assert "is more than 1e+12 times weight 1.0" in err
+    assert out == ""
+
+
+def test_detect_runs_a_weight_spread_just_under_the_bound(tmp_path, capsys):
+    edges = tmp_path / "spread.edges"
+    edges.write_text(f"1 2 {MAX_WEIGHT_RATIO * 0.999!r}\n2 3 1\n1 3 1\n3 4 1\n")
+    code, out, err = run_cli(["detect", "--weighted", str(edges)], capsys)
+    assert code == 0, err
+    assert json.loads(out)["seeds"]["failures"] == []
 
 
 @pytest.mark.parametrize("command", sorted(REPORT_COMMANDS))

@@ -95,6 +95,11 @@ def test_graph_rejects_non_finite_weights_and_degrees():
         load_edge_list("1 2 1e308\n1 3 1e308\n", weighted=True)
 
 
+def test_graph_rejects_a_weight_spread_beyond_the_bound():
+    with pytest.raises(EdgeListError, match=r"weight 1e\+20 on link \(b, c\) is more than 1e\+12 times"):
+        Graph(["a", "b", "c"], [(0, 1, 2.0), (1, 2, 1e20), (0, 2, 1.0)])
+
+
 def test_labels_are_arbitrary_tokens():
     g = load_edge_list("alpha beta\nbeta gamma-3\n")
     assert g.labels == ("alpha", "beta", "gamma-3")

@@ -21,7 +21,6 @@ from nodecut import (
     run_from_seed,
     verify_local_minimum,
 )
-from nodecut.greedy import _Suffix
 from conftest import (
     KARATE_NODES,
     KARATE_PSI,
@@ -274,7 +273,7 @@ def test_failed_seed_does_not_abort_the_sweep(karate, monkeypatch):
 
 @settings(max_examples=30)
 @given(st.integers(4, 40), st.integers(0, 2**32 - 1), st.booleans())
-def test_shared_suffix_cache_changes_no_trajectory(n, seed, weighted):
+def test_shared_phase_cache_changes_no_trajectory(n, seed, weighted):
     """Every seed run with one shared cache equals the uncached run, float for float."""
     rng = random.Random(seed)
     make = random_weighted_graph if weighted else random_connected_graph
@@ -284,23 +283,28 @@ def test_shared_suffix_cache_changes_no_trajectory(n, seed, weighted):
     assert cached == [run_from_seed(g, link_id) for link_id in range(g.m)]
 
 
-def test_cache_refuses_a_suffix_that_would_change_the_run(karate):
-    """A suffix is spliced in only if none of its sets was visited and it fits the budget.
+def test_phase_cache_keys_on_the_escape_rank():
+    """A revisit escapes at a higher rank than the first visit, so it must not
+    replay the phase cached for the first visit of the same settled set."""
+    rng = random.Random(262)
+    n = rng.randrange(4, 41)
+    g = random_weighted_graph(rng, n, rng.randrange(0, 2 * n))
+    cache = {}
+    cached = [run_from_seed(g, link_id, None, cache) for link_id in range(g.m)]
+    assert any(rank for _, rank in cache), "some run revisits a settled set"
+    assert cached == [run_from_seed(g, link_id) for link_id in range(g.m)]
 
-    The planted suffix is bogus, so splicing it would show in the trajectory.
-    """
+
+def test_a_miss_after_a_replayed_phase_rebuilds_the_state(karate):
+    """A replayed phase leaves the live state at the earlier settled set; the
+    next phase, if not cached, must start from the set the replay ended on."""
     link_id = karate.find_link("25", "26")
-    plain = run_from_seed(karate, link_id)
-    first, second = plain.minima[:2]  # second is settled on after one escape phase
-
-    def planted(keys, phases):
-        bogus = _Suffix([(1, "add", 0, 0.5, 3)], 0, [], 0, frozenset(keys), phases, first, 0.5)
-        return {second: bogus}
-
-    budget = max(10 * karate.n, 100)
-    assert run_from_seed(karate, link_id, None, planted({second}, 0)) != plain  # reached
-    assert run_from_seed(karate, link_id, None, planted({second, first}, 0)) == plain
-    assert run_from_seed(karate, link_id, None, planted({second}, budget)) == plain
+    cache = {}
+    plain = run_from_seed(karate, link_id, None, cache)
+    second = list(cache)[1]  # the phase after the first one, in run order
+    del cache[second]
+    assert run_from_seed(karate, link_id, None, cache) == plain
+    assert second in cache
 
 
 def test_cache_is_not_used_under_the_random_policy(karate):
