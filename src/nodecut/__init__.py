@@ -24,6 +24,7 @@ from .errors import (
 )
 from .graph import (
     MAX_WEIGHT_RATIO,
+    WEIGHT_RANGE,
     Graph,
     boundary_nodes,
     connected_components,
@@ -73,6 +74,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Graph",
     "MAX_WEIGHT_RATIO",
+    "WEIGHT_RANGE",
     "load_edge_list",
     "edge_list_text",
     "induced_links",

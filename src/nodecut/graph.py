@@ -15,6 +15,7 @@ from .errors import EdgeListError
 
 __all__ = [
     "MAX_WEIGHT_RATIO",
+    "WEIGHT_RANGE",
     "Graph",
     "load_edge_list",
     "edge_list_text",
@@ -30,6 +31,8 @@ __all__ = [
 
 # Largest accepted ratio of the heaviest to the lightest link weight; see Graph.__init__.
 MAX_WEIGHT_RATIO = 1e12
+# Smallest and largest accepted link weight; see Graph.__init__.
+WEIGHT_RANGE = (1e-100, 1e100)
 
 
 def label_sort_key(label: str):
@@ -70,7 +73,11 @@ class Graph:
         Endpoints must be distinct and already deduplicated; use load_edge_list
         for raw text with duplicate or comment handling.
 
-        Weights must be finite, positive and at most MAX_WEIGHT_RATIO apart.
+        Weights must lie in WEIGHT_RANGE and at most MAX_WEIGHT_RATIO apart.
+        psi multiplies two weight sums, so beyond about 1e154 the product
+        overflows to inf and below about 1e-162 it underflows to 0; the range
+        keeps those products far from both ends on any graph that fits in
+        memory, and no degree can overflow.
         Above a ratio of 2**53 a light link vanishes from a float sum holding a
         heavy one, so a removal's remaining internal degree can cancel to 0 and
         its score divide by zero. 1e12 leaves a factor of about 9000 for the
@@ -88,6 +95,11 @@ class Graph:
                 raise EdgeListError(f"non-finite weight on link ({labels[u]}, {labels[v]})")
             if not (w > 0.0):
                 raise EdgeListError(f"non-positive weight on link ({labels[u]}, {labels[v]})")
+            if not WEIGHT_RANGE[0] <= w <= WEIGHT_RANGE[1]:
+                raise EdgeListError(
+                    f"weight {w!r} on link ({labels[u]}, {labels[v]}) is outside "
+                    f"[{WEIGHT_RANGE[0]:g}, {WEIGHT_RANGE[1]:g}]"
+                )
             a, b = (u, v) if u < v else (v, u)
             ends.append((a, b))
             weights.append(float(w))
@@ -105,9 +117,6 @@ class Graph:
         self.labels = tuple(str(x) for x in labels)
         self.adj = tuple(tuple(sorted(lst)) for lst in nbrs)
         self.degrees = tuple(sum(w for _, w, _ in lst) for lst in self.adj)
-        for i, k in enumerate(self.degrees):
-            if not math.isfinite(k):
-                raise EdgeListError(f"degree of node {self.labels[i]!r} overflows to {k!r}")
         self.link_ends = tuple(ends)
         self.link_weights = tuple(weights)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
@@ -147,7 +156,8 @@ def load_edge_list(text, weighted: bool = False) -> Graph:
     non-positive or non-finite weights (inf, nan, or a number too large for
     a float), merged weights that overflow, and short lines are rejected
     with the line number.
-    Weights further apart than MAX_WEIGHT_RATIO are rejected by Graph.
+    Weights outside WEIGHT_RANGE or further apart than MAX_WEIGHT_RATIO are
+    rejected by Graph.
     """
     if hasattr(text, "read"):
         text = text.read()

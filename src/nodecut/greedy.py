@@ -23,18 +23,25 @@ minimum escalates the escape move to the next-ranked candidate, and a budget
 of max(10 * n, 100) escape phases aborts a run that cannot make progress.
 
 Phase cache. Runs from different seeds fall into the same hollows and then
-replay the same escapes. Under the deterministic policy a run settles with
-recompute(), after which the state depends on the settled node set K alone,
-so the phase that follows (the escape and the descent and pruning into the
-next settled set) depends only on K and the escape rank, the run's earlier
-visit count for K. run_all_seeds therefore shares one dict per sweep (per
-worker under jobs > 1) mapping (K, rank) to that phase: its step rows
-without step numbers, the next settled set, its exact psi and whether its
-frontier is empty. A run replays a cached phase with its own step numbers
+replay the same escapes. A run settles with recompute(), after which the
+state depends on the settled node set K alone, so under the deterministic
+policy the phase that follows (the escape and the descent and pruning into
+the next settled set) depends only on K and the escape rank, the run's
+earlier visit count for K. run_all_seeds therefore shares one dict per
+sweep (per worker under jobs > 1) mapping (K, rank) to that phase: its step
+rows without step numbers, the next settled set, its exact psi and whether
+its frontier is empty. A run replays a cached phase with its own step numbers
 and computes and stores a missing one, first rebuilding the state at K if a
 replayed phase left it elsewhere. Visits, records and the phase budget are
 kept per run either way, so a cached trajectory equals the uncached one,
-float for float. The random policy never reads or writes the cache.
+float for float.
+
+The random policy draws from the run's generator only to break a tie of two
+or more candidates, and ties are a function of the state. So a phase that
+drew nothing from (K, rank) in one run draws nothing in any run, and leaves
+its generator where it found it: such a phase is stored and replayed as
+under the deterministic policy. A phase that drew is never stored; every run
+that reaches it computes it with its own generator.
 """
 
 from __future__ import annotations
@@ -226,13 +233,12 @@ def run_from_seed(
     every add, removing prune and recompute; each rebuild recomputes only
     the deltas those moves made stale.
     cache, shared by the runs of one sweep over g, maps (settled set, escape
-    rank) to the phase that follows (see the module docstring); it is ignored
-    under the random policy.
+    rank) to the phase that follows (see the module docstring); under the
+    random policy only phases that drew nothing from the run's generator are
+    stored.
     """
     policy = policy or TieBreakPolicy()
     rng = policy.rng_for(link_id)
-    if rng is not None:
-        cache = None
     u, v = g.link_ends[link_id]
     state = SubgraphState(g, {u, v})
     steps: list[tuple[int, str, int | None, float, int]] = []
@@ -294,12 +300,14 @@ def run_from_seed(
         if state.members != key:
             state = SubgraphState(g, key)  # a cached phase left the live state behind
         start = len(steps)
+        before = rng.getstate() if rng is not None else None
         # climb out of the hollow, then fall into the next one
         cands = add(state.add_scores(), rank=seen)
         while cands and not _downhill(cands):
             cands = add(cands)
         settled = settle(cands)
-        if cache is not None:
+        # a phase that broke a tie with a draw may go another way in another run
+        if cache is not None and (rng is None or rng.getstate() == before):
             cache[key, seen] = ([row[1:] for row in steps[start:]], *settled)
         key, exact, done = settled
 

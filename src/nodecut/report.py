@@ -129,9 +129,8 @@ def build_report(
         "seeds": {
             "total": len(result.trajectories) + len(result.failures),
             "histogram": {str(k): v for k, v in sorted(result.histogram.items())},
-            "every_seed_recorded_a_minimum": all(
-                len(t.minima) > 0 for t in result.trajectories
-            ),
+            "every_seed_recorded_a_minimum": not result.failures
+            and all(t.minima for t in result.trajectories),
             "per_seed": per_seed,
             "failures": [
                 {"seed": sorted_labels(g, g.link_ends[lid]), "error": message}

@@ -345,7 +345,7 @@ def _assert_one_error(code, err, kind="report"):
     [
         "1 2 inf\n2 3 1\n1 3 1\n3 4 1\n",
         "1 2 1e309\n2 3 1\n1 3 1\n3 4 1\n",
-        "1 2 1e308\n1 3 1e308\n2 3 1\n3 4 1\n",  # node 1's degree overflows
+        "1 2 1e308\n1 3 1e308\n2 3 1\n3 4 1\n",  # node 1's degree would overflow
     ],
     ids=["inf", "overflowing-literal", "overflowing-degree"],
 )
@@ -374,6 +374,52 @@ def test_detect_runs_a_weight_spread_just_under_the_bound(tmp_path, capsys):
     code, out, err = run_cli(["detect", "--weighted", str(edges)], capsys)
     assert code == 0, err
     assert json.loads(out)["seeds"]["failures"] == []
+
+
+# 6 of its 15 seeds settle on the same set after every escape, at every rank,
+# until the phase budget runs out
+OSCILLATING = (
+    "1 2 10\n1 3 10\n1 4 5\n1 5 1\n1 6 1\n1 8 1\n1 10 1\n3 4 1\n"
+    "3 7 100\n5 6 1\n5 7 10\n6 8 1\n8 9 10\n8 10 100\n9 10 1\n"
+)
+
+
+def test_detect_reports_failed_seeds_without_claiming_every_minimum(tmp_path, capsys):
+    edges = tmp_path / "oscillating.edges"
+    edges.write_text(OSCILLATING)
+    code, out, err = run_cli(["detect", "--weighted", str(edges)], capsys)
+    assert code == 0, err
+    seeds = json.loads(out)["seeds"]
+    assert seeds["total"] == 15
+    assert len(seeds["failures"]) == 6
+    assert all("no progress after 101 phases" in f["error"] for f in seeds["failures"])
+    assert seeds["every_seed_recorded_a_minimum"] is False
+
+
+@pytest.mark.parametrize("weight", ["1e200", "1e-170"])
+def test_detect_rejects_weights_outside_the_range(tmp_path, capsys, weight):
+    """Every weight 1e200 would give psi inf (not JSON), every weight 1e-170
+    psi 0 and no community."""
+    edges = tmp_path / "scaled.edges"
+    edges.write_text("".join(f"{line} {weight}\n" for line in TWO_TRIANGLES.splitlines()))
+    code, out, err = run_cli(["detect", "--weighted", str(edges)], capsys)
+    _assert_one_error(code, err, "edge-list")
+    assert f"weight {float(weight)!r} on link (1, 2) is outside [1e-100, 1e+100]" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("weight", ["1e100", "1e-100"])
+def test_detect_scales_weights_at_the_ends_of_the_range(tmp_path, capsys, weight):
+    edges = tmp_path / "scaled.edges"
+    edges.write_text("".join(f"{line} {weight}\n" for line in TWO_TRIANGLES.splitlines()))
+    code, out, err = run_cli(["detect", "--weighted", str(edges)], capsys)
+    assert code == 0, err
+    report = json.loads(out)
+    assert [(c["nodes"], c["psi"]) for c in report["communities"]] == [
+        (["1", "2", "3", "4"], 0.0833333333333),  # a triangle and the bridge
+        (["3", "4", "5", "6"], 0.0833333333333),
+    ]
+    assert report["seeds"]["every_seed_recorded_a_minimum"] is True
 
 
 @pytest.mark.parametrize("command", sorted(REPORT_COMMANDS))

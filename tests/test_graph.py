@@ -1,6 +1,7 @@
 """Graph model, edge-list ingestion, and subgraph queries."""
 
 import random
+import re
 
 import pytest
 
@@ -86,13 +87,28 @@ def test_merged_weight_overflow_is_rejected():
             load_edge_list("1 2 1e308\n2 1 1e308\n", weighted=True)
 
 
-def test_graph_rejects_non_finite_weights_and_degrees():
+def test_graph_rejects_non_finite_and_out_of_range_weights():
+    """Weights within WEIGHT_RANGE cannot sum to an infinite degree, so the
+    weights whose degrees would overflow are refused one by one."""
     with pytest.raises(EdgeListError, match="non-finite weight on link"):
         Graph(["a", "b"], [(0, 1, float("inf"))])
-    with pytest.raises(EdgeListError, match="degree of node 'a' overflows"):
+    with pytest.raises(EdgeListError, match=r"weight 1e\+308 on link \(a, b\) is outside \[1e-100, 1e\+100\]"):
         Graph(["a", "b", "c"], [(0, 1, 1e308), (0, 2, 1e308)])
-    with pytest.raises(EdgeListError, match="degree of node '1' overflows"):
+    with pytest.raises(EdgeListError, match=r"weight 1e\+308 on link \(1, 2\) is outside"):
         load_edge_list("1 2 1e308\n1 3 1e308\n", weighted=True)
+
+
+@pytest.mark.parametrize("weight", [1e200, 1.0000000000000002e100, 1e-170, 9.999999999999999e-101])
+def test_graph_rejects_weights_outside_the_range(weight):
+    """Beyond the range psi's weight products overflow to inf or underflow to 0."""
+    with pytest.raises(EdgeListError, match=re.escape(f"weight {weight!r} on link (a, b) is outside")):
+        Graph(["a", "b", "c"], [(0, 1, weight), (1, 2, weight), (0, 2, weight)])
+
+
+def test_merged_weights_beyond_the_range_are_rejected():
+    with pytest.warns(UserWarning, match="duplicate"):
+        with pytest.raises(EdgeListError, match=r"weight 1\.2e\+100 on link \(1, 2\) is outside"):
+            load_edge_list("1 2 6e99\n2 1 6e99\n", weighted=True)
 
 
 def test_graph_rejects_a_weight_spread_beyond_the_bound():
