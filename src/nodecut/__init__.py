@@ -11,8 +11,6 @@ from .datasets import KARATE_EDGE_LIST, builtin_graph, karate_graph
 from .errors import (
     DisconnectedGraph,
     EdgeListError,
-    EmptyCut,
-    NoFrontier,
     NodeCutError,
     NotAMember,
     NotANeighbor,
@@ -30,18 +28,14 @@ from .graph import (
     connected_components,
     edge_list_text,
     induced_links,
-    induced_nodes,
     is_connected,
     load_edge_list,
-    neighbors_of_set,
 )
 from .greedy import (
     Community,
     DetectionResult,
     TieBreakPolicy,
     Trajectory,
-    best_addition,
-    escape_step,
     merge_trajectories,
     prune,
     run_all_seeds,
@@ -62,7 +56,6 @@ from .landscape import (
 )
 from .linegraph import (
     LineGraph,
-    back_projection,
     build_line_graph,
     check_equivalence,
     phi,
@@ -78,8 +71,6 @@ __all__ = [
     "load_edge_list",
     "edge_list_text",
     "induced_links",
-    "induced_nodes",
-    "neighbors_of_set",
     "is_connected",
     "boundary_nodes",
     "connected_components",
@@ -88,16 +79,13 @@ __all__ = [
     "SubgraphState",
     "LineGraph",
     "build_line_graph",
-    "back_projection",
     "phi",
     "check_equivalence",
     "TieBreakPolicy",
     "Community",
     "Trajectory",
     "DetectionResult",
-    "best_addition",
     "prune",
-    "escape_step",
     "run_from_seed",
     "run_all_seeds",
     "merge_trajectories",
@@ -118,10 +106,8 @@ __all__ = [
     "ZeroInternalDegree",
     "NotANeighbor",
     "NotAMember",
-    "NoFrontier",
     "DisconnectedGraph",
     "WeightedUnsupported",
-    "EmptyCut",
     "TooLarge",
     "OscillationError",
     "ReportError",

@@ -27,10 +27,6 @@ class NotAMember(NodeCutError):
     """Node is not a member of the current subgraph."""
 
 
-class NoFrontier(NodeCutError):
-    """The subgraph has no external neighbors left to add."""
-
-
 class DisconnectedGraph(NodeCutError):
     """The input graph is not connected."""
 
@@ -39,16 +35,19 @@ class WeightedUnsupported(NodeCutError):
     """Operation is defined for unit-weight graphs only."""
 
 
-class EmptyCut(NodeCutError):
-    """Link set has zero total degree in the line graph."""
-
-
 class TooLarge(NodeCutError):
     """Graph exceeds the exhaustive-enumeration cap."""
 
 
 class OscillationError(NodeCutError):
-    """A greedy run exceeded its phase budget without covering its component."""
+    """A greedy run exceeded its phase budget without covering its component.
+
+    minima holds the node sets the run recorded before it gave up.
+    """
+
+    def __init__(self, message, minima=()):
+        super().__init__(message)
+        self.minima = list(minima)
 
 
 class ReportError(NodeCutError):

@@ -20,12 +20,11 @@ __all__ = [
     "load_edge_list",
     "edge_list_text",
     "induced_links",
-    "induced_nodes",
-    "neighbors_of_set",
     "is_connected",
     "boundary_nodes",
     "connected_components",
     "label_sort_key",
+    "minimum_sort_key",
 ]
 
 
@@ -41,6 +40,11 @@ def label_sort_key(label: str):
         return (0, int(label), "")
     except ValueError:
         return (1, 0, label)
+
+
+def minimum_sort_key(g: Graph, value: float, nodes) -> tuple:
+    """Order of detected and exact minima alike: psi, larger sets first, then labels."""
+    return (value, -len(nodes), sorted(g.rank[i] for i in nodes))
 
 
 class Graph:
@@ -227,27 +231,6 @@ def induced_links(g: Graph, nodes) -> set[int]:
         for j, _, lid in g.adj[i]:
             if j > i and j in member:
                 out.add(lid)
-    return out
-
-
-def induced_nodes(g: Graph, links) -> set[int]:
-    """Union of endpoints of the given link ids."""
-    out = set()
-    for lid in links:
-        u, v = g.link_ends[lid]
-        out.add(u)
-        out.add(v)
-    return out
-
-
-def neighbors_of_set(g: Graph, nodes) -> set[int]:
-    """Nodes outside the set adjacent to at least one member."""
-    member = set(nodes)
-    out = set()
-    for i in member:
-        for j, _, _ in g.adj[i]:
-            if j not in member:
-                out.add(j)
     return out
 
 

@@ -20,7 +20,9 @@ the same float a fresh psi_after_add / psi_after_remove call gives.
 Ties within MOVE_TOL are broken by smallest node label (deterministic policy)
 or uniformly at random (random policy). Revisiting an already-recorded
 minimum escalates the escape move to the next-ranked candidate, and a budget
-of max(10 * n, 100) escape phases aborts a run that cannot make progress.
+of max(10 * n, 100) escape phases aborts a run that cannot make progress. An
+aborted run keeps the minima it recorded: they count towards the communities
+like any other run's, and the sweep lists the run among its failures.
 
 Phase cache. Runs from different seeds fall into the same hollows and then
 replay the same escapes. A run settles with recompute(), after which the
@@ -50,8 +52,8 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .errors import DisconnectedGraph, NodeCutError, NoFrontier, OscillationError
-from .graph import Graph, boundary_nodes, induced_links, is_connected
+from .errors import DisconnectedGraph, NodeCutError, OscillationError
+from .graph import Graph, boundary_nodes, induced_links, is_connected, minimum_sort_key
 from .psi import MOVE_TOL, SubgraphState, psi
 
 __all__ = [
@@ -59,9 +61,7 @@ __all__ = [
     "Community",
     "Trajectory",
     "DetectionResult",
-    "best_addition",
     "prune",
-    "escape_step",
     "run_from_seed",
     "run_all_seeds",
     "merge_trajectories",
@@ -124,8 +124,8 @@ _Phase = tuple[list[tuple[str, int | None, float, int]], frozenset[int], float, 
 class DetectionResult:
     """Aggregated outcome of running every seed link.
 
-    failures maps link ids of aborted runs to their error message; the other
-    seeds' results are unaffected.
+    failures maps link ids of aborted runs to their error message; the
+    minima those runs recorded count like any other run's.
     """
 
     communities: list[Community]
@@ -154,16 +154,6 @@ def _select(
 
 def _downhill(cands: list[tuple[float, int]]) -> bool:
     return bool(cands) and min(cands)[0] < -MOVE_TOL
-
-
-def best_addition(
-    state: SubgraphState, rng: random.Random | None = None
-) -> tuple[int, float]:
-    """External neighbor whose addition changes the cut the least (most downhill first)."""
-    if not state.frontier:
-        raise NoFrontier("subgraph already covers its component")
-    d, x = _select(state.g, state.add_scores(), rng)
-    return x, d
 
 
 def _removal_order(state: SubgraphState, rng: random.Random | None) -> list[tuple[float, int]]:
@@ -210,15 +200,6 @@ def prune(
         removed.append(choice)
         if on_move is not None:
             on_move("remove", choice)
-
-
-def escape_step(state: SubgraphState, rng: random.Random | None = None, rank: int = 0) -> int:
-    """Add the neighbor with the smallest cut increase; rank picks worse ties on revisits."""
-    if not state.frontier:
-        raise NoFrontier("subgraph already covers its component")
-    _, x = _select(state.g, state.add_scores(), rng, rank)
-    state.apply_add(x)
-    return x
 
 
 def run_from_seed(
@@ -290,7 +271,7 @@ def run_from_seed(
         phases += 1
         if phases > max_phases:
             raise OscillationError(
-                f"seed {g.link_label_pair(link_id)}: no progress after {phases} phases"
+                f"seed {g.link_label_pair(link_id)}: no progress after {phases} phases", minima
             )
         phase = cache.get((key, seen)) if cache is not None else None
         if phase is not None:
@@ -321,15 +302,19 @@ def _init_worker(g: Graph, policy: TieBreakPolicy):
     _WORKER["cache"] = {}
 
 
-def _run_guarded(g, link_id, policy, cache) -> Trajectory | tuple[int, str]:
+# a failed run: (link id, error message, minima recorded before the error)
+_Failure = tuple[int, str, list[frozenset[int]]]
+
+
+def _run_guarded(g, link_id, policy, cache) -> Trajectory | _Failure:
     # a failed seed must not abort the sweep; report it alongside the rest
     try:
         return run_from_seed(g, link_id, policy, cache)
     except NodeCutError as exc:
-        return (link_id, str(exc))
+        return (link_id, str(exc), getattr(exc, "minima", []))
 
 
-def _run_link(link_id: int) -> Trajectory | tuple[int, str]:
+def _run_link(link_id: int) -> Trajectory | _Failure:
     return _run_guarded(_WORKER["g"], link_id, _WORKER["policy"], _WORKER["cache"])
 
 
@@ -342,8 +327,9 @@ def run_all_seeds(
     """Run every link as a seed and merge the recorded minima.
 
     Minima are deduplicated by exact node set; seed_count is the number of
-    runs that recorded each one. The whole-graph ground state is never a
-    community. Result order and content do not depend on jobs.
+    runs, failed ones included, that recorded each one. The whole-graph
+    ground state is never a community. Result order and content do not
+    depend on jobs.
     """
     policy = policy or TieBreakPolicy()
     if not allow_disconnected and g.components > 1:
@@ -362,27 +348,27 @@ def run_all_seeds(
     else:
         cache: dict[tuple[frozenset[int], int], _Phase] = {}
         outcomes = [_run_guarded(g, lid, policy, cache) for lid in range(g.m)]
-    trajectories = [o for o in outcomes if isinstance(o, Trajectory)]
-    failures = dict(o for o in outcomes if not isinstance(o, Trajectory))
-    result = merge_trajectories(g, trajectories)
-    result.failures = failures
-    return result
+    return merge_trajectories(g, outcomes)
 
 
-def merge_trajectories(g: Graph, trajectories: list[Trajectory]) -> DetectionResult:
+def merge_trajectories(g: Graph, runs: list[Trajectory | _Failure]) -> DetectionResult:
     """Deduplicate recorded minima by node set and derive community records.
 
-    Communities come in (psi, -size, label) order. A community's stability
+    runs holds each seed's Trajectory, or for a run that failed its
+    (link id, error message, minima recorded before the error); a failed
+    run's minima count like any other's, and it is listed in failures.
+    Communities come in minimum_sort_key order. A community's stability
     is its shortest Jaccard distance, (|A u B| - |A n B|) / |A u B|, to any
     community with a strictly lower cut value, or None when there is none.
     """
+    trajectories = [r for r in runs if isinstance(r, Trajectory)]
+    failed = [r for r in runs if not isinstance(r, Trajectory)]
     counts: dict[frozenset[int], int] = {}
-    for traj in trajectories:
-        for nodes in traj.minima:
+    for minima in [t.minima for t in trajectories] + [minima for _, _, minima in failed]:
+        for nodes in minima:
             counts[nodes] = counts.get(nodes, 0) + 1
     scored = sorted(
-        ((psi(g, nodes), nodes) for nodes in counts),
-        key=lambda p: (p[0], -len(p[1]), sorted(g.rank[i] for i in p[1])),
+        ((psi(g, nodes), nodes) for nodes in counts), key=lambda p: minimum_sort_key(g, *p)
     )
 
     # node sets as int bitsets; the communities of strictly lower psi are
@@ -409,4 +395,9 @@ def merge_trajectories(g: Graph, trajectories: list[Trajectory]) -> DetectionRes
     histogram: dict[int, int] = {}
     for traj in trajectories:
         histogram[len(traj.minima)] = histogram.get(len(traj.minima), 0) + 1
-    return DetectionResult(communities=communities, trajectories=trajectories, histogram=histogram)
+    return DetectionResult(
+        communities=communities,
+        trajectories=trajectories,
+        histogram=histogram,
+        failures={link_id: message for link_id, message, _ in failed},
+    )

@@ -66,27 +66,15 @@ class PolyhierarchyDag:
     node_sets: dict[str, frozenset[int]]
     edges: list[tuple[str, str]]  # (parent, child)
 
-    def parents(self, name: str) -> list[str]:
-        return [p for p, c in self.edges if c == name]
-
 
 def build_polyhierarchy(
-    total_nodes: int | Graph,
-    communities: list[Community],
-    names: list[str] | None = None,
+    g: Graph, communities: list[Community], names: list[str]
 ) -> PolyhierarchyDag:
-    """Transitive reduction of strict containment, rooted at the whole graph.
-
-    total_nodes (a Graph is also accepted) sizes the root; names default to
-    C1, C2, ... following the given community order.
-    """
-    n = total_nodes.n if isinstance(total_nodes, Graph) else int(total_nodes)
-    if names is None:
-        names = [f"C{i + 1}" for i in range(len(communities))]
+    """Transitive reduction of strict containment, rooted at the whole graph g."""
     if len(names) != len(communities):
         raise ValueError("one name per community required")
     sets = {name: c.nodes for name, c in zip(names, communities)}
-    whole = frozenset(range(n))
+    whole = frozenset(range(g.n))
     edges = []
     for child, child_set in sets.items():
         parents = [

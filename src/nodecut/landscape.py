@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .errors import TooLarge
-from .graph import Graph, is_connected
+from .graph import Graph, is_connected, minimum_sort_key
 from .psi import MOVE_TOL, SubgraphState, psi
 
 __all__ = [
@@ -53,10 +53,6 @@ def enumerate_connected_subgraphs(
         yield from grow(frozenset({anchor}), set(range(anchor)))
 
 
-def _psi_landscape(g: Graph, max_nodes: int, force: bool) -> dict[frozenset[int], float]:
-    return {s: psi(g, s) for s in enumerate_connected_subgraphs(g, max_nodes, force)}
-
-
 def exact_local_minima(
     g: Graph, max_nodes: int = DEFAULT_MAX_NODES, force: bool = False
 ) -> list[frozenset[int]]:
@@ -67,7 +63,7 @@ def exact_local_minima(
     strictly smaller cut value. Places with value 0 are whole components and
     are reported as ground states elsewhere, not communities.
     """
-    places = _psi_landscape(g, max_nodes, force)
+    places = {s: psi(g, s) for s in enumerate_connected_subgraphs(g, max_nodes, force)}
     nbrs = [frozenset(j for j, _, _ in g.adj[i]) for i in range(g.n)]
     minima = []
     for s, value in places.items():
@@ -84,7 +80,7 @@ def exact_local_minima(
                 break
         if down_ok:
             minima.append(s)
-    minima.sort(key=lambda s: (places[s], len(s), sorted(s)))
+    minima.sort(key=lambda s: minimum_sort_key(g, places[s], s))
     return minima
 
 

@@ -13,14 +13,13 @@ between the line-graph cut and the normalised node cut.
 
 from __future__ import annotations
 
-from .errors import EmptyCut, WeightedUnsupported, ZeroInternalDegree
+from .errors import WeightedUnsupported, ZeroInternalDegree
 from .graph import Graph, induced_links
 from .psi import psi
 
 __all__ = [
     "LineGraph",
     "build_line_graph",
-    "back_projection",
     "phi",
     "check_equivalence",
 ]
@@ -40,9 +39,6 @@ class LineGraph:
         self.m = m
         self.rows = rows
         self.degree = tuple(sum(r.values()) for r in rows)
-
-    def entry(self, k: int, l: int) -> float:
-        return self.rows[k].get(l, 0.0)
 
     def entries(self):
         """Yield (k, l, weight) once per unordered pair, k <= l."""
@@ -66,15 +62,6 @@ def build_line_graph(g: Graph) -> LineGraph:
     return LineGraph(g.m, rows)
 
 
-def back_projection(g: Graph) -> dict[tuple[int, int], float]:
-    """Node-level weights A_ij / sqrt(k_i * k_j) induced by the row normalisation."""
-    _require_unit_weights(g)
-    out = {}
-    for u, v in g.link_ends:
-        out[(u, v)] = 1.0 / (g.degrees[u] * g.degrees[v]) ** 0.5
-    return out
-
-
 def phi(lg: LineGraph, links) -> float:
     """Ordinary normalised cut of a link set in the line graph.
 
@@ -91,12 +78,12 @@ def phi(lg: LineGraph, links) -> float:
             if l in member:
                 k_in += w
     if k_total == 0.0:
-        raise EmptyCut("link set has zero total degree")
+        raise ZeroInternalDegree("link set has zero total degree")
     return max(k_total - k_in, 0.0) / k_total
 
 
-def check_equivalence(g: Graph, nodes, lg: LineGraph | None = None) -> float:
-    """|phi(L(C)) - psi(C)| for the maximal link set of a node set.
+def check_equivalence(g: Graph, nodes, lg: LineGraph) -> float:
+    """|phi(L(C)) - psi(C)| for the maximal link set of a node set; lg is g's line graph.
 
     The two sides are computed along independent paths (line-graph sums vs
     the direct degree formula); the result should be < 1e-10 for any
@@ -106,6 +93,4 @@ def check_equivalence(g: Graph, nodes, lg: LineGraph | None = None) -> float:
     links = induced_links(g, nodes)
     if not links:
         raise ZeroInternalDegree("node set has no internal links")
-    if lg is None:
-        lg = build_line_graph(g)
     return abs(phi(lg, links) - psi(g, nodes))

@@ -26,7 +26,7 @@ x's role, the membership seen by x's neighbors and k_j_in of x's neighbors,
 so it invalidates exactly x, N(x), and N(j) for every member neighbor j of
 x: the ball of radius two around x. recompute() clears the whole cache. A
 stale entry is recomputed with the delta formula above, in adjacency order,
-so a cached delta is the same float a fresh delta_sigma_* call returns.
+so a score from a cached delta is the same float psi_after_* returns.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ class SubgraphState:
         return frozenset(self.members)
 
     def _add_delta(self, i: int) -> float:
-        """delta_sigma_add without its argument checks."""
+        """Exact change of sigma if frontier node i joined the set; unchecked."""
         g = self.g
         members, in_w, degrees = self.members, self.in_w, g.degrees
         acc = 0.0
@@ -138,7 +138,7 @@ class SubgraphState:
         return acc - in_w[i] * in_w[i] / degrees[i]
 
     def _remove_delta(self, i: int) -> float:
-        """delta_sigma_remove without its argument check."""
+        """Exact change of sigma if member i left the set; unchecked."""
         g = self.g
         members, in_w, degrees = self.members, self.in_w, g.degrees
         acc = 0.0
@@ -147,31 +147,20 @@ class SubgraphState:
                 acc += w * (2.0 * (degrees[j] - in_w[j]) + w) / degrees[j]
         return in_w[i] * in_w[i] / degrees[i] - acc
 
-    def delta_sigma_add(self, i: int) -> float:
-        """Exact change of sigma if external neighbor i joined the set."""
-        if i in self.members:
-            raise NotANeighbor(f"node {self.g.labels[i]} is already a member")
-        if self.in_cnt[i] == 0:
-            raise NotANeighbor(f"node {self.g.labels[i]} is not adjacent to the set")
-        return self._add_delta(i)
-
-    def delta_sigma_remove(self, i: int) -> float:
-        """Exact change of sigma if member i left the set."""
-        if i not in self.members:
-            raise NotAMember(f"node {self.g.labels[i]} is not a member")
-        return self._remove_delta(i)
-
     def psi_after_add(self, i: int) -> float:
-        sigma = self.sigma + self.delta_sigma_add(i)
+        """Cut value after adding external neighbor i."""
+        if i not in self.frontier:
+            raise NotANeighbor(f"node {self.g.labels[i]} is not an external neighbor of the set")
+        sigma = self.sigma + self._add_delta(i)
         return sigma / (self.k_in + 2.0 * self.in_w[i]) if sigma > 0.0 else 0.0
 
     def psi_after_remove(self, i: int) -> float | None:
-        """Cut value after removing i, or None when no internal link would remain."""
+        """Cut value after removing member i, or None when no internal link would remain."""
         if i not in self.members:
             raise NotAMember(f"node {self.g.labels[i]} is not a member")
         if self.links_in == self.in_cnt[i]:
             return None
-        sigma = self.sigma + self.delta_sigma_remove(i)
+        sigma = self.sigma + self._remove_delta(i)
         return sigma / (self.k_in - 2.0 * self.in_w[i]) if sigma > 0.0 else 0.0
 
     def add_scores(self) -> list[tuple[float, int]]:
@@ -224,10 +213,10 @@ class SubgraphState:
                     delta[k] = None
 
     def apply_add(self, i: int) -> None:
+        if i not in self.frontier:
+            raise NotANeighbor(f"node {self.g.labels[i]} is not an external neighbor of the set")
         d = self.delta[i]
-        if d is None or i not in self.frontier:
-            d = self.delta_sigma_add(i)  # also rejects members and non-neighbors
-        self.sigma += d
+        self.sigma += self._add_delta(i) if d is None else d
         self.k_in += 2.0 * self.in_w[i]
         self.links_in += self.in_cnt[i]
         self.members.add(i)

@@ -220,11 +220,13 @@ def test_criterion_06_incremental(karate):
                 if not legal:
                     continue
                 x = rng.choice(legal)
-                delta_remove = state.delta_sigma_remove(x)
+                before = state.psi
+                after = state.psi_after_remove(x)
+                assert after == pytest.approx(psi(g, state.members - {x}), abs=1e-9)
                 state.apply_remove(x)
                 if state.in_cnt[x] > 0:  # x still borders the set:
                     # removal and re-addition are exact inverses of each other
-                    assert state.delta_sigma_add(x) == pytest.approx(-delta_remove, abs=1e-12)
+                    assert state.psi_after_add(x) == pytest.approx(before, abs=1e-12)
             sigma, k_in = sigma_and_k_in(g, state.members)
             assert state.sigma == pytest.approx(sigma, rel=1e-9, abs=1e-9)
             assert state.k_in == pytest.approx(k_in, rel=1e-9)
@@ -271,12 +273,13 @@ def test_criterion_08_ground_state(karate, karate_result):
 
 @criterion(9, "hierarchy: containment DAG and overlap kinds on karate")
 def test_criterion_09_hierarchy(karate, karate_result, karate_named):
-    dag = build_polyhierarchy(karate, karate_result.communities)
+    names = [f"C{i + 1}" for i in range(len(karate_result.communities))]
+    dag = build_polyhierarchy(karate, karate_result.communities, names)
     edges = set(dag.edges)
     for required in (("C2", "C5"), ("C2", "C6"), ("C3", "C4"), ("C3", "C7"),
                      ("C1", "C2"), ("C1", "C7")):
         assert required in edges
-    assert sorted(dag.parents("C7")) == ["C1", "C3"]
+    assert sorted(p for p, c in dag.edges if c == "C7") == ["C1", "C3"]
     assert classify_overlap(karate_named["C1"], karate_named["C3"]).kind == "permeating"
     assert classify_overlap(karate_named["C2"], karate_named["C3"]).kind == "boundary-overlap"
     assert classify_overlap(karate_named["C1"], karate_named["C4"]).kind == "boundary-overlap"

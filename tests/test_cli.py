@@ -181,6 +181,20 @@ def test_oracle_two_triangles(tmp_path, capsys):
     }
 
 
+def test_oracle_and_detect_list_tied_minima_in_one_order(tmp_path, capsys):
+    """Equal-psi minima come in label order in both documents, whatever
+    order the edge list first names their nodes in."""
+    edges = tmp_path / "reversed.edges"
+    edges.write_text("5 6\n6 4\n4 5\n4 3\n3 1\n1 2\n2 3\n")
+    report = tmp_path / "report.json"
+    assert cli.main(["detect", str(edges), "--out", str(report)]) == 0
+    code, out, _ = run_cli(["oracle", str(edges)], capsys)
+    assert code == 0
+    oracle = [m["nodes"] for m in json.loads(out)["minima"]]
+    detect = [c["nodes"] for c in json.loads(report.read_text())["communities"]]
+    assert oracle == detect == [["1", "2", "3", "4"], ["3", "4", "5", "6"]]
+
+
 def test_oracle_cap_exit_4(capsys):
     code, _, err = run_cli(["oracle", "--dataset", "karate"], capsys)
     assert code == 4
@@ -385,15 +399,27 @@ OSCILLATING = (
 
 
 def test_detect_reports_failed_seeds_without_claiming_every_minimum(tmp_path, capsys):
+    """Six seeds exhaust their phase budget; the minima they recorded before
+    that, {1,8,9,10} and {6,8,9,10}, are still reported, so detect finds every
+    exact minimum."""
     edges = tmp_path / "oscillating.edges"
     edges.write_text(OSCILLATING)
-    code, out, err = run_cli(["detect", "--weighted", str(edges)], capsys)
+    report_path = tmp_path / "report.json"
+    code, _, err = run_cli(["detect", "--weighted", str(edges), "--out", str(report_path)], capsys)
     assert code == 0, err
-    seeds = json.loads(out)["seeds"]
+    report = json.loads(report_path.read_text())
+    seeds = report["seeds"]
     assert seeds["total"] == 15
     assert len(seeds["failures"]) == 6
     assert all("no progress after 101 phases" in f["error"] for f in seeds["failures"])
     assert seeds["every_seed_recorded_a_minimum"] is False
+    assert len(report["communities"]) == 3
+    code, out, err = run_cli(
+        ["oracle", "--weighted", str(edges), "--compare", str(report_path)], capsys
+    )
+    assert code == 0, err
+    compare = json.loads(out)["compare"]
+    assert (compare["matched"], compare["greedy_only"], compare["sound"]) == (3, [], True)
 
 
 @pytest.mark.parametrize("weight", ["1e200", "1e-170"])

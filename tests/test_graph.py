@@ -8,13 +8,12 @@ import pytest
 from nodecut import (
     EdgeListError,
     Graph,
+    SubgraphState,
     boundary_nodes,
     edge_list_text,
     induced_links,
-    induced_nodes,
     is_connected,
     load_edge_list,
-    neighbors_of_set,
 )
 from conftest import (
     KARATE_EDGE_PAIRS,
@@ -132,24 +131,23 @@ def test_induced_links_karate(karate):
 
 
 def test_induced_nodes(karate):
-    lid = karate.find_link("1", "12")
-    assert labels_of(karate, induced_nodes(karate, {lid})) == {"1", "12"}
+    """Every node of C2 has a link inside it: its maximal link set spans it."""
     c2 = indices_of(karate, KARATE_NODES["C2"])
-    assert induced_nodes(karate, induced_links(karate, c2)) == c2
+    assert {i for lid in induced_links(karate, c2) for i in karate.link_ends[lid]} == c2
     assert len(c2) == 21
-    assert induced_nodes(karate, set()) == set()
 
 
 def test_neighbors_of_set():
+    """A state's frontier is the set of outside nodes adjacent to a member."""
     g = load_edge_list("1 2\n2 3")
-    assert labels_of(g, neighbors_of_set(g, {g.index_of("1")})) == {"2"}
-    assert neighbors_of_set(g, set(range(g.n))) == set()
+    assert labels_of(g, SubgraphState(g, indices_of(g, {"1", "2"})).frontier) == {"3"}
+    assert SubgraphState(g, set(range(g.n))).frontier == set()
 
 
 def test_neighbors_of_seed_link_karate(karate):
     c = indices_of(karate, {"1", "12"})
     expected = {j for j, _, _ in karate.adj[karate.index_of("1")]} - c
-    got = neighbors_of_set(karate, c)
+    got = SubgraphState(karate, c).frontier
     assert got == expected
     assert len(got) == 15
 
@@ -189,7 +187,7 @@ def test_induced_roundtrip_subset_property():
     g = random_connected_graph(rng, 12, 10)
     for _ in range(40):
         c = {i for i in range(g.n) if rng.random() < 0.5}
-        back = induced_nodes(g, induced_links(g, c))
+        back = {i for lid in induced_links(g, c) for i in g.link_ends[lid]}
         assert back <= c
         isolated = {i for i in c if not any(j in c for j, _, _ in g.adj[i])}
         assert back == c - isolated

@@ -8,11 +8,8 @@ from hypothesis import strategies as st
 
 from nodecut import (
     DisconnectedGraph,
-    NoFrontier,
     SubgraphState,
     TieBreakPolicy,
-    best_addition,
-    escape_step,
     is_connected,
     load_edge_list,
     prune,
@@ -21,6 +18,7 @@ from nodecut import (
     run_from_seed,
     verify_local_minimum,
 )
+from nodecut.greedy import _select
 from nodecut.psi import MOVE_TOL
 from conftest import (
     KARATE_NODES,
@@ -53,7 +51,7 @@ def brute_best_addition(g, members):
 def test_best_addition_path():
     g = load_edge_list("1 2\n2 3")
     s = SubgraphState(g, indices_of(g, {"1", "2"}))
-    node, delta = best_addition(s)
+    delta, node = _select(g, s.add_scores(), None)
     assert g.labels[node] == "3"
     assert delta == pytest.approx(-0.25, abs=1e-12)
 
@@ -61,24 +59,18 @@ def test_best_addition_path():
 def test_best_addition_k4_tie_breaks_by_label():
     g = load_edge_list(K4)
     s = SubgraphState(g, indices_of(g, {"1", "2"}))
-    node, _ = best_addition(s)
+    _, node = _select(g, s.add_scores(), None)
     assert g.labels[node] == "3"
 
 
 def test_best_addition_karate_33_34_matches_brute_force(karate):
     members = set(indices_of(karate, {"33", "34"}))
     s = SubgraphState(karate, members)
-    node, delta = best_addition(s)
+    delta, node = _select(karate, s.add_scores(), None)
     expect_node, expect_delta = brute_best_addition(karate, members)
     assert node == expect_node
     assert delta == pytest.approx(expect_delta, abs=1e-12)
     assert delta < 0  # the first descent step of this seed goes downhill
-
-
-def test_best_addition_requires_frontier(karate):
-    s = SubgraphState(karate, set(range(karate.n)))
-    with pytest.raises(NoFrontier):
-        best_addition(s)
 
 
 def test_prune_no_op_at_local_minimum(karate):
@@ -110,15 +102,19 @@ def test_escape_step_adds_min_increase(karate):
     s = SubgraphState(karate, members)
     value = s.psi
     cands = {x: s.psi_after_add(x) for x in s.frontier}
-    node = escape_step(s)
+    _, node = _select(karate, s.add_scores(), None)
+    s.apply_add(node)
+    assert s.members == members | {node}
     assert cands[node] >= value
     assert cands[node] == pytest.approx(min(cands.values()), abs=1e-12)
 
 
 def test_escape_step_single_candidate(karate):
+    """A revisit's escape rank clamps to the last candidate."""
     x = karate.index_of("17")
     s = SubgraphState(karate, set(range(karate.n)) - {x})
-    assert escape_step(s) == x
+    for rank in (0, 3):
+        assert _select(karate, s.add_scores(), None, rank)[1] == x
 
 
 def seed_minima_names(karate, u, v, policy=None):
@@ -317,7 +313,7 @@ def test_a_miss_after_a_replayed_phase_rebuilds_the_state(karate):
 
 def fresh_phase(g, key, rank, rng):
     """The phase after settled set key at escape rank, computed from a fresh
-    state with the public moves, as the cache stores it."""
+    state one selected move at a time, as the cache stores it."""
     state = SubgraphState(g, key)
     rows = []
 
@@ -328,14 +324,17 @@ def fresh_phase(g, key, rank, rng):
         scores = state.add_scores()
         return bool(scores) and min(scores)[0] < -MOVE_TOL
 
-    log("add", escape_step(state, rng, rank))
+    def add(rank=0):
+        _, x = _select(g, state.add_scores(), rng, rank)
+        state.apply_add(x)
+        log("add", x)
+
+    add(rank)
     while state.frontier and not downhill():
-        log("add", escape_step(state, rng))
+        add()
     while True:
         while downhill():
-            x, _ = best_addition(state, rng)
-            state.apply_add(x)
-            log("add", x)
+            add()
         if not prune(state, rng, on_move=log) or not downhill():
             break
     exact = state.recompute()

@@ -6,6 +6,7 @@ from nodecut import (
     classify_overlap,
     cover_check,
     dag_to_dot,
+    load_edge_list,
 )
 from conftest import KARATE_NODES, labels_of
 
@@ -62,7 +63,12 @@ def test_cover_check(karate, karate_named):
 
 
 def karate_dag(karate, karate_result):
-    return build_polyhierarchy(karate, karate_result.communities)
+    names = [f"C{i + 1}" for i in range(len(karate_result.communities))]
+    return build_polyhierarchy(karate, karate_result.communities, names)
+
+
+def parents(dag, name):
+    return sorted(p for p, c in dag.edges if c == name)
 
 
 def test_karate_polyhierarchy(karate, karate_result):
@@ -77,7 +83,7 @@ def test_karate_polyhierarchy(karate, karate_result):
         ("C3", "C4"),
         ("C3", "C7"),
     }
-    assert sorted(dag.parents("C7")) == ["C1", "C3"]
+    assert parents(dag, "C7") == ["C1", "C3"]
 
 
 def test_dag_edges_are_strict_containments(karate, karate_result):
@@ -93,7 +99,7 @@ def test_dropping_c1_or_c3_yields_a_tree(karate, karate_result):
         keep = [(n, c) for n, c in zip(names, communities) if n != drop]
         dag = build_polyhierarchy(karate, [c for _, c in keep], [n for n, _ in keep])
         for name in dag.names[1:]:
-            assert len(dag.parents(name)) == 1
+            assert len(parents(dag, name)) == 1
 
 
 def _mini(nodes):
@@ -103,13 +109,13 @@ def _mini(nodes):
 
 def test_disjoint_communities_form_a_star():
     comms = [_mini({0, 1}), _mini({2, 3}), _mini({4, 5})]
-    dag = build_polyhierarchy(6, comms)
+    dag = build_polyhierarchy(load_edge_list("1 2\n3 4\n5 6"), comms, ["C1", "C2", "C3"])
     assert set(dag.edges) == {("C0", "C1"), ("C0", "C2"), ("C0", "C3")}
 
 
 def test_nested_chain_is_transitively_reduced():
     comms = [_mini({0, 1}), _mini({0, 1, 2}), _mini({0, 1, 2, 3})]
-    dag = build_polyhierarchy(5, comms, names=["A", "B", "C"])
+    dag = build_polyhierarchy(load_edge_list("1 2\n2 3\n3 4\n4 5"), comms, ["A", "B", "C"])
     assert set(dag.edges) == {("C0", "C"), ("C", "B"), ("B", "A")}
 
 

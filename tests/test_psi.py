@@ -67,9 +67,12 @@ def test_psi_weighted_hand_example():
 
 
 def test_delta_sigma_add_path():
-    g = load_edge_list("1 2\n2 3")
+    g = load_edge_list("1 2\n2 3\n3 4")
     s = SubgraphState(g, indices_of(g, {"1", "2"}))
-    assert s.delta_sigma_add(g.index_of("3")) == pytest.approx(-0.5, abs=1e-15)
+    # node 3 keeps one of its two links inside: sigma 1/2 over k_in 4
+    after = s.psi_after_add(g.index_of("3"))
+    assert after == pytest.approx(psi(g, indices_of(g, {"1", "2", "3"})), abs=1e-15)
+    assert after == pytest.approx(0.125, abs=1e-15)
 
 
 def test_delta_sigma_add_star_matches_recompute():
@@ -78,31 +81,29 @@ def test_delta_sigma_add_star_matches_recompute():
     s = SubgraphState(g, c)
     for leaf in ("b", "c", "d"):
         i = g.index_of(leaf)
-        expected = sigma_and_k_in(g, c | {i})[0] - sigma_and_k_in(g, c)[0]
-        assert s.delta_sigma_add(i) == pytest.approx(expected, abs=1e-15)
+        assert s.psi_after_add(i) == pytest.approx(psi(g, c | {i}), abs=1e-15)
 
 
 def test_delta_sigma_add_karate_c7_neighbors(karate):
     c = indices_of(karate, KARATE_NODES["C7"])
     s = SubgraphState(karate, c)
-    base = sigma_and_k_in(karate, c)[0]
     for i in sorted(s.frontier):
-        expected = sigma_and_k_in(karate, c | {i})[0] - base
-        assert s.delta_sigma_add(i) == pytest.approx(expected, abs=1e-12)
+        assert s.psi_after_add(i) == pytest.approx(psi(karate, c | {i}), abs=1e-12)
 
 
 def test_delta_sigma_remove_path():
     g = load_edge_list("1 2\n2 3")
     s = SubgraphState(g, set(range(3)))
-    assert s.delta_sigma_remove(g.index_of("3")) == pytest.approx(0.5, abs=1e-15)
+    after = s.psi_after_remove(g.index_of("3"))
+    assert after == pytest.approx(psi(g, indices_of(g, {"1", "2"})), abs=1e-15)
+    assert after == pytest.approx(0.25, abs=1e-15)
 
 
 def test_delta_sigma_remove_karate_c2(karate):
     c = indices_of(karate, KARATE_NODES["C2"])
     s = SubgraphState(karate, c)
     i = karate.index_of("10")
-    expected = sigma_and_k_in(karate, c - {i})[0] - sigma_and_k_in(karate, c)[0]
-    assert s.delta_sigma_remove(i) == pytest.approx(expected, abs=1e-12)
+    assert s.psi_after_remove(i) == pytest.approx(psi(karate, c - {i}), abs=1e-12)
 
 
 def test_remove_is_inverse_of_add(karate):
@@ -111,10 +112,10 @@ def test_remove_is_inverse_of_add(karate):
     for i in sorted(c):
         if s.psi_after_remove(i) is None:
             continue
-        before_sigma, before_kin = s.sigma, s.k_in
+        before_psi, before_sigma, before_kin = s.psi, s.sigma, s.k_in
         s.apply_remove(i)
         # removing then re-adding is a net zero change
-        assert s.delta_sigma_add(i) == pytest.approx(before_sigma - s.sigma, abs=1e-12)
+        assert s.psi_after_add(i) == pytest.approx(before_psi, abs=1e-12)
         s.apply_add(i)
         assert s.sigma == pytest.approx(before_sigma, abs=1e-12)
         assert s.k_in == pytest.approx(before_kin, abs=1e-12)
@@ -146,14 +147,17 @@ def test_grow_c7_matches_scratch_state(karate):
 
 def test_move_argument_validation(karate):
     s = SubgraphState(karate, indices_of(karate, {"1", "12"}))
-    with pytest.raises(NotANeighbor):
-        s.delta_sigma_add(karate.index_of("1"))
-    with pytest.raises(NotANeighbor):
-        s.delta_sigma_add(karate.index_of("15"))  # not adjacent to {1, 12}
-    with pytest.raises(NotAMember):
-        s.delta_sigma_remove(karate.index_of("15"))
+    one, fifteen = karate.index_of("1"), karate.index_of("15")  # 15 is not adjacent to {1, 12}
+    for move in (s.psi_after_add, s.apply_add):
+        for x in (one, fifteen):
+            with pytest.raises(NotANeighbor):
+                move(x)
+    for move in (s.psi_after_remove, s.apply_remove):
+        with pytest.raises(NotAMember):
+            move(fifteen)
     with pytest.raises(ZeroInternalDegree):
         s.apply_remove(karate.index_of("12"))  # would leave no internal link
+    assert s.nodes() == indices_of(karate, {"1", "12"})
 
 
 def test_psi_below_one_and_boundary_only_terms(karate):
@@ -197,15 +201,15 @@ def test_incremental_matches_scratch_random_walk(weighted):
 
 
 def _check_cached_deltas(s):
-    """Every cached delta is, bit for bit, the delta a fresh call computes."""
+    """Every cached delta is, bit for bit, the delta a fresh computation gives."""
     for i, d in enumerate(s.delta):
         if d is None:
             continue
         if i in s.members:
-            assert d == s.delta_sigma_remove(i)
+            assert d == s._remove_delta(i)
         else:
             assert i in s.frontier
-            assert d == s.delta_sigma_add(i)
+            assert d == s._add_delta(i)
 
 
 @pytest.mark.parametrize("weighted", [False, True])
