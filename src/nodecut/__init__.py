@@ -9,12 +9,10 @@ connected subgraphs, found by greedy expansion from every link of the graph.
 
 from .datasets import KARATE_EDGE_LIST, builtin_graph, karate_graph
 from .errors import (
-    DisconnectedGraph,
     EdgeListError,
     NodeCutError,
     NotAMember,
     NotANeighbor,
-    OscillationError,
     ReportError,
     TooLarge,
     WeightedUnsupported,
@@ -106,9 +104,7 @@ __all__ = [
     "ZeroInternalDegree",
     "NotANeighbor",
     "NotAMember",
-    "DisconnectedGraph",
     "WeightedUnsupported",
     "TooLarge",
-    "OscillationError",
     "ReportError",
 ]

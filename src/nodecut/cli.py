@@ -27,7 +27,6 @@ import time
 
 from .datasets import DATASETS, builtin_graph
 from .errors import (
-    DisconnectedGraph,
     EdgeListError,
     NodeCutError,
     ReportError,
@@ -178,7 +177,7 @@ def cmd_detect(args) -> int:
         _fail(2, "usage", f"--jobs must be at least 1, not {args.jobs}")
     g, source = _load_graph(args)
     policy = _policy(args)
-    if g.components > 1 and not args.allow_disconnected:
+    if g.components > 1 and not args.disconnected_ok:
         _fail(3, "disconnected-graph", "input graph is disconnected; pass --allow-disconnected to proceed")
     _check_output_path(args.out)
     _check_output_path(args.trajectories, directory=True)
@@ -192,7 +191,7 @@ def cmd_detect(args) -> int:
             _fail(2, "seed", f"--seed {args.seed!r} is not a link of the graph")
         result = merge_trajectories(g, [run_from_seed(g, seed_link, policy)])
     else:
-        result = run_all_seeds(g, policy, jobs=args.jobs, allow_disconnected=True)
+        result = run_all_seeds(g, policy, jobs=args.jobs)
     elapsed = time.perf_counter() - started
     report = build_report(
         g,
@@ -282,18 +281,20 @@ def cmd_verify(args) -> int:
     certificate_ok = True
     max_residual = None
     for name, c in zip(names, communities):
+        # a node set without an internal link is no place of the landscape and has no psi
+        linked = bool(induced_links(g, c.nodes))
         connected = is_connected(g, c.nodes)
-        ok = connected and verify_local_minimum(g, c.nodes)
+        ok = linked and connected and verify_local_minimum(g, c.nodes)
         certificate_ok = certificate_ok and ok
         residual = None
-        if run_equivalence:
+        if run_equivalence and linked:
             residual = check_equivalence(g, c.nodes, lg)
             max_residual = residual if max_residual is None else max(max_residual, residual)
         checks.append(
             {
                 "name": name,
                 "node_count": len(c.nodes),
-                "psi": float(f"{psi(g, c.nodes):.12g}"),
+                "psi": float(f"{psi(g, c.nodes):.12g}") if linked else None,
                 "connected": connected,
                 "local_minimum": ok,
                 "equivalence_residual": None if residual is None else float(f"{residual:.6g}"),
@@ -402,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the JSON report here (default: stdout)")
     p.add_argument("--trajectories", metavar="DIR", help="write one move-log CSV per seed")
     p.add_argument("--include-ground-state", action="store_true")
-    p.add_argument("--allow-disconnected", action="store_true")
+    p.add_argument("--allow-disconnected", action="store_true", dest="disconnected_ok")
     p.set_defaults(func=cmd_detect)
 
     p = subs.add_parser("oracle", help="exhaustive landscape minima (small graphs)")
@@ -445,9 +446,6 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"nodecut: error[{exc.kind}]: {exc}", file=sys.stderr)
         return exc.code
-    except DisconnectedGraph as exc:
-        print(f"nodecut: error[disconnected-graph]: {exc}", file=sys.stderr)
-        return 3
     except ReportError as exc:
         print(f"nodecut: error[report]: {exc}", file=sys.stderr)
         return 2

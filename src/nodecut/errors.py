@@ -27,27 +27,12 @@ class NotAMember(NodeCutError):
     """Node is not a member of the current subgraph."""
 
 
-class DisconnectedGraph(NodeCutError):
-    """The input graph is not connected."""
-
-
 class WeightedUnsupported(NodeCutError):
     """Operation is defined for unit-weight graphs only."""
 
 
 class TooLarge(NodeCutError):
     """Graph exceeds the exhaustive-enumeration cap."""
-
-
-class OscillationError(NodeCutError):
-    """A greedy run exceeded its phase budget without covering its component.
-
-    minima holds the node sets the run recorded before it gave up.
-    """
-
-    def __init__(self, message, minima=()):
-        super().__init__(message)
-        self.minima = list(minima)
 
 
 class ReportError(NodeCutError):

@@ -17,12 +17,16 @@ remove_scores(). The state caches each node's sigma delta, so after a move
 only the nodes within two hops of the moved node are rescored; every score is
 the same float a fresh psi_after_add / psi_after_remove call gives.
 
-Ties within MOVE_TOL are broken by smallest node label (deterministic policy)
-or uniformly at random (random policy). Revisiting an already-recorded
-minimum escalates the escape move to the next-ranked candidate, and a budget
-of max(10 * n, 100) escape phases aborts a run that cannot make progress. An
-aborted run keeps the minima it recorded: they count towards the communities
-like any other run's, and the sweep lists the run among its failures.
+Ties. Under the deterministic policy an addition takes the smallest node
+label among the candidates within MOVE_TOL of the best, while removals are
+tried in exact (delta, label) order, so a removal whose delta is lower by
+less than MOVE_TOL wins over a smaller label. Under the random policy an
+addition is drawn uniformly from the same tie set, and removals are
+shuffled within groups whose deltas lie within MOVE_TOL of the group's
+first. Revisiting an already-recorded minimum escalates the escape move to
+the next-ranked candidate. A run that cannot make progress stops after
+max(10 * n, 100) escape phases: its Trajectory keeps every step and minimum
+so far, ends at its last settled set and carries a failure message.
 
 Phase cache. Runs from different seeds fall into the same hollows and then
 replay the same escapes. A run settles with recompute(), after which the
@@ -52,7 +56,6 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .errors import DisconnectedGraph, NodeCutError, OscillationError
 from .graph import Graph, boundary_nodes, induced_links, is_connected, minimum_sort_key
 from .psi import MOVE_TOL, SubgraphState, psi
 
@@ -104,7 +107,8 @@ class Trajectory:
 
     steps holds (step, action, node, psi, size) with action one of
     "add", "remove", "record-minimum"; node is None on record rows.
-    minima lists recorded node sets in order of first discovery.
+    minima lists recorded node sets in order of first discovery. failure is
+    None, or the message of a run that exhausted its phase budget.
     """
 
     link_id: int
@@ -114,6 +118,7 @@ class Trajectory:
     final_nodes: frozenset[int]
     final_psi: float
     covers_graph: bool
+    failure: str | None = None
 
 
 # A cached phase: (rows without step numbers, next settled set, its psi, frontier empty).
@@ -122,16 +127,11 @@ _Phase = tuple[list[tuple[str, int | None, float, int]], frozenset[int], float, 
 
 @dataclass
 class DetectionResult:
-    """Aggregated outcome of running every seed link.
-
-    failures maps link ids of aborted runs to their error message; the
-    minima those runs recorded count like any other run's.
-    """
+    """Aggregated outcome of running every seed link."""
 
     communities: list[Community]
     trajectories: list[Trajectory]
     histogram: dict[int, int] = field(default_factory=dict)
-    failures: dict[int, str] = field(default_factory=dict)
 
 
 def _select(
@@ -210,6 +210,9 @@ def run_from_seed(
 ) -> Trajectory:
     """Run the full descent/prune/escape search from one seed link.
 
+    A run that exhausts its phase budget returns like any other, with the
+    budget message in failure (see the module docstring).
+
     cands holds the current state's addition scores and is rebuilt after
     every add, removing prune and recompute; each rebuild recomputes only
     the deltas those moves made stale.
@@ -252,6 +255,7 @@ def run_from_seed(
         return state.nodes(), exact, not state.frontier
 
     key, exact, done = settle(state.add_scores())
+    failure = None
     while True:
         seen = visits.get(key, 0)
         visits[key] = seen + 1
@@ -259,20 +263,11 @@ def run_from_seed(
             minima.append(key)
             steps.append((len(steps) + 1, "record-minimum", None, exact, len(key)))
         if done:
-            return Trajectory(
-                link_id=link_id,
-                seed=(u, v),
-                steps=steps,
-                minima=minima,
-                final_nodes=key,
-                final_psi=exact,
-                covers_graph=len(key) == g.n,
-            )
+            break
         phases += 1
         if phases > max_phases:
-            raise OscillationError(
-                f"seed {g.link_label_pair(link_id)}: no progress after {phases} phases", minima
-            )
+            failure = f"seed {g.link_label_pair(link_id)}: no progress after {phases} phases"
+            break
         phase = cache.get((key, seen)) if cache is not None else None
         if phase is not None:
             rows, key, exact, done = phase
@@ -291,6 +286,16 @@ def run_from_seed(
         if cache is not None and (rng is None or rng.getstate() == before):
             cache[key, seen] = ([row[1:] for row in steps[start:]], *settled)
         key, exact, done = settled
+    return Trajectory(
+        link_id=link_id,
+        seed=(u, v),
+        steps=steps,
+        minima=minima,
+        final_nodes=key,
+        final_psi=exact,
+        covers_graph=len(key) == g.n,
+        failure=failure,
+    )
 
 
 _WORKER: dict = {}
@@ -302,70 +307,48 @@ def _init_worker(g: Graph, policy: TieBreakPolicy):
     _WORKER["cache"] = {}
 
 
-# a failed run: (link id, error message, minima recorded before the error)
-_Failure = tuple[int, str, list[frozenset[int]]]
-
-
-def _run_guarded(g, link_id, policy, cache) -> Trajectory | _Failure:
-    # a failed seed must not abort the sweep; report it alongside the rest
-    try:
-        return run_from_seed(g, link_id, policy, cache)
-    except NodeCutError as exc:
-        return (link_id, str(exc), getattr(exc, "minima", []))
-
-
-def _run_link(link_id: int) -> Trajectory | _Failure:
-    return _run_guarded(_WORKER["g"], link_id, _WORKER["policy"], _WORKER["cache"])
+def _run_link(link_id: int) -> Trajectory:
+    return run_from_seed(_WORKER["g"], link_id, _WORKER["policy"], _WORKER["cache"])
 
 
 def run_all_seeds(
-    g: Graph,
-    policy: TieBreakPolicy | None = None,
-    jobs: int = 1,
-    allow_disconnected: bool = False,
+    g: Graph, policy: TieBreakPolicy | None = None, jobs: int = 1
 ) -> DetectionResult:
     """Run every link as a seed and merge the recorded minima.
 
     Minima are deduplicated by exact node set; seed_count is the number of
     runs, failed ones included, that recorded each one. The whole-graph
-    ground state is never a community. Result order and content do not
+    ground state is never a community. On a disconnected graph each run
+    stays inside its seed's component. Result order and content do not
     depend on jobs.
     """
     policy = policy or TieBreakPolicy()
-    if not allow_disconnected and g.components > 1:
-        raise DisconnectedGraph(
-            "input graph is disconnected; runs would be confined to seed components"
-        )
     # the pool starts every worker it is given, so never more than there are seeds
     workers = min(jobs, g.m)
     if workers > 1:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(g, policy)
         ) as pool:
-            outcomes = list(
+            trajectories = list(
                 pool.map(_run_link, range(g.m), chunksize=max(1, g.m // (4 * workers)))
             )
     else:
         cache: dict[tuple[frozenset[int], int], _Phase] = {}
-        outcomes = [_run_guarded(g, lid, policy, cache) for lid in range(g.m)]
-    return merge_trajectories(g, outcomes)
+        trajectories = [run_from_seed(g, lid, policy, cache) for lid in range(g.m)]
+    return merge_trajectories(g, trajectories)
 
 
-def merge_trajectories(g: Graph, runs: list[Trajectory | _Failure]) -> DetectionResult:
+def merge_trajectories(g: Graph, trajectories: list[Trajectory]) -> DetectionResult:
     """Deduplicate recorded minima by node set and derive community records.
 
-    runs holds each seed's Trajectory, or for a run that failed its
-    (link id, error message, minima recorded before the error); a failed
-    run's minima count like any other's, and it is listed in failures.
-    Communities come in minimum_sort_key order. A community's stability
-    is its shortest Jaccard distance, (|A u B| - |A n B|) / |A u B|, to any
-    community with a strictly lower cut value, or None when there is none.
+    A failed run's minima count like any other's. Communities come in
+    minimum_sort_key order. A community's stability is its shortest Jaccard
+    distance, (|A u B| - |A n B|) / |A u B|, to any community with a
+    strictly lower cut value, or None when there is none.
     """
-    trajectories = [r for r in runs if isinstance(r, Trajectory)]
-    failed = [r for r in runs if not isinstance(r, Trajectory)]
     counts: dict[frozenset[int], int] = {}
-    for minima in [t.minima for t in trajectories] + [minima for _, _, minima in failed]:
-        for nodes in minima:
+    for traj in trajectories:
+        for nodes in traj.minima:
             counts[nodes] = counts.get(nodes, 0) + 1
     scored = sorted(
         ((psi(g, nodes), nodes) for nodes in counts), key=lambda p: minimum_sort_key(g, *p)
@@ -395,9 +378,4 @@ def merge_trajectories(g: Graph, runs: list[Trajectory | _Failure]) -> Detection
     histogram: dict[int, int] = {}
     for traj in trajectories:
         histogram[len(traj.minima)] = histogram.get(len(traj.minima), 0) + 1
-    return DetectionResult(
-        communities=communities,
-        trajectories=trajectories,
-        histogram=histogram,
-        failures={link_id: message for link_id, message, _ in failed},
-    )
+    return DetectionResult(communities=communities, trajectories=trajectories, histogram=histogram)

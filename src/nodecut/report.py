@@ -127,14 +127,16 @@ def build_report(
             "runs_reaching_it": covered,
         },
         "seeds": {
-            "total": len(result.trajectories) + len(result.failures),
+            "total": len(result.trajectories),
             "histogram": {str(k): v for k, v in sorted(result.histogram.items())},
-            "every_seed_recorded_a_minimum": not result.failures
-            and all(t.minima for t in result.trajectories),
+            "every_seed_recorded_a_minimum": all(
+                t.minima and t.failure is None for t in result.trajectories
+            ),
             "per_seed": per_seed,
             "failures": [
-                {"seed": sorted_labels(g, g.link_ends[lid]), "error": message}
-                for lid, message in sorted(result.failures.items())
+                {"seed": sorted_labels(g, t.seed), "error": t.failure}
+                for t in result.trajectories
+                if t.failure is not None
             ],
         },
         "trajectories": (

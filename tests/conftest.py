@@ -55,6 +55,13 @@ KARATE_SEED_COUNTS = {"C1": 68, "C2": 40, "C3": 10, "C4": 10, "C5": 7, "C6": 2, 
 TWO_TRIANGLES = "1 2\n1 3\n2 3\n3 4\n4 5\n4 6\n5 6\n"
 PATH3 = "1 2\n2 3\n"
 
+# weighted; 6 of its 15 seeds settle on the same set after every escape, at
+# every rank, until the phase budget runs out
+OSCILLATING = (
+    "1 2 10\n1 3 10\n1 4 5\n1 5 1\n1 6 1\n1 8 1\n1 10 1\n3 4 1\n"
+    "3 7 100\n5 6 1\n5 7 10\n6 8 1\n8 9 10\n8 10 100\n9 10 1\n"
+)
+
 
 @pytest.fixture(scope="session")
 def karate() -> Graph:

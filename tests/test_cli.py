@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from nodecut import MAX_WEIGHT_RATIO, cli
-from conftest import KARATE_NODES, PATH3, TWO_TRIANGLES
+from conftest import KARATE_NODES, OSCILLATING, PATH3, TWO_TRIANGLES
 
 
 def run_cli(args, capsys):
@@ -262,6 +262,26 @@ def test_verify_tampered_report_exit_5(karate_report, tmp_path, capsys, extra):
     assert any(not c["local_minimum"] for c in doc["checks"])
 
 
+@pytest.mark.parametrize("nodes", [["1"], ["1", "4"]])
+def test_verify_fails_a_community_without_an_internal_link(tmp_path, capsys, nodes):
+    """Such a set is no place of the landscape: it has no psi and no line-graph
+    cut, so its certificate fails instead of the command crashing."""
+    edges, report_path = _two_triangle_report(tmp_path)
+    report = json.loads(report_path.read_text())
+    report["communities"][0].update(nodes=nodes, links=[], boundary=[])
+    report_path.write_text(json.dumps(report))
+    capsys.readouterr()
+    code, out, err = run_cli(["verify", str(edges), "--report", str(report_path)], capsys)
+    assert code == 5
+    assert err == "nodecut: error[certificate]: not a local minimum: C1\n"
+    check = json.loads(out)["checks"][0]
+    assert (check["local_minimum"], check["psi"], check["equivalence_residual"]) == (
+        False,
+        None,
+        None,
+    )
+
+
 def test_verify_equivalence_exit_6_when_tolerance_impossible(karate_report, capsys, monkeypatch):
     monkeypatch.setattr(cli, "EQUIVALENCE_TOL", -1.0)
     code, _, err = run_cli(
@@ -390,22 +410,27 @@ def test_detect_runs_a_weight_spread_just_under_the_bound(tmp_path, capsys):
     assert json.loads(out)["seeds"]["failures"] == []
 
 
-# 6 of its 15 seeds settle on the same set after every escape, at every rank,
-# until the phase budget runs out
-OSCILLATING = (
-    "1 2 10\n1 3 10\n1 4 5\n1 5 1\n1 6 1\n1 8 1\n1 10 1\n3 4 1\n"
-    "3 7 100\n5 6 1\n5 7 10\n6 8 1\n8 9 10\n8 10 100\n9 10 1\n"
-)
-
-
 def test_detect_reports_failed_seeds_without_claiming_every_minimum(tmp_path, capsys):
     """Six seeds exhaust their phase budget; the minima they recorded before
     that, {1,8,9,10} and {6,8,9,10}, are still reported, so detect finds every
-    exact minimum."""
+    exact minimum. A failed run is a seed run like any other in per_seed,
+    the histogram and the trajectory CSVs."""
     edges = tmp_path / "oscillating.edges"
     edges.write_text(OSCILLATING)
     report_path = tmp_path / "report.json"
-    code, _, err = run_cli(["detect", "--weighted", str(edges), "--out", str(report_path)], capsys)
+    traj_dir = tmp_path / "traj"
+    code, _, err = run_cli(
+        [
+            "detect",
+            "--weighted",
+            str(edges),
+            "--out",
+            str(report_path),
+            "--trajectories",
+            str(traj_dir),
+        ],
+        capsys,
+    )
     assert code == 0, err
     report = json.loads(report_path.read_text())
     seeds = report["seeds"]
@@ -414,12 +439,32 @@ def test_detect_reports_failed_seeds_without_claiming_every_minimum(tmp_path, ca
     assert all("no progress after 101 phases" in f["error"] for f in seeds["failures"])
     assert seeds["every_seed_recorded_a_minimum"] is False
     assert len(report["communities"]) == 3
+    assert len(seeds["per_seed"]) == 15
+    assert sum(seeds["histogram"].values()) == seeds["total"]
+    files = sorted(p.name for p in traj_dir.iterdir())
+    assert len(files) == 15
+    assert sorted(report["trajectories"]["files"]) == files
     code, out, err = run_cli(
         ["oracle", "--weighted", str(edges), "--compare", str(report_path)], capsys
     )
     assert code == 0, err
     compare = json.loads(out)["compare"]
     assert (compare["matched"], compare["greedy_only"], compare["sound"]) == (3, [], True)
+
+
+def test_detect_single_seed_that_exhausts_its_budget_keeps_its_minima(tmp_path, capsys):
+    edges = tmp_path / "oscillating.edges"
+    edges.write_text(OSCILLATING)
+    code, out, err = run_cli(["detect", "--weighted", str(edges), "--seed", "1,8"], capsys)
+    assert code == 0, err
+    report = json.loads(out)
+    assert [c["nodes"] for c in report["communities"]] == [
+        ["6", "8", "9", "10"],
+        ["1", "8", "9", "10"],
+    ]
+    assert report["seeds"]["failures"] == [
+        {"seed": ["1", "8"], "error": "seed ('1', '8'): no progress after 101 phases"}
+    ]
 
 
 @pytest.mark.parametrize("weight", ["1e200", "1e-170"])

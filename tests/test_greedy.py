@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nodecut import (
-    DisconnectedGraph,
     SubgraphState,
     TieBreakPolicy,
     is_connected,
@@ -24,6 +23,7 @@ from conftest import (
     KARATE_NODES,
     KARATE_PSI,
     KARATE_SEED_COUNTS,
+    OSCILLATING,
     TWO_TRIANGLES,
     indices_of,
     labels_of,
@@ -235,37 +235,34 @@ def test_jobs_do_not_change_results(karate):
         ]
 
 
-def test_disconnected_graph_is_refused():
-    g = load_edge_list("1 2\n3 4")
-    with pytest.raises(DisconnectedGraph):
-        run_all_seeds(g)
-
-
 def test_disconnected_runs_confined_to_components():
     g = load_edge_list("1 2\n2 3\n4 5\n5 6\n6 4")
-    res = run_all_seeds(g, allow_disconnected=True)
+    res = run_all_seeds(g)
     for traj in res.trajectories:
         assert not traj.covers_graph
         assert traj.final_psi == 0.0
         assert is_connected(g, traj.final_nodes)
 
 
-def test_failed_seed_does_not_abort_the_sweep(karate, monkeypatch):
-    from nodecut import OscillationError
-    from nodecut import greedy as greedy_mod
-
-    real = greedy_mod.run_from_seed
-
-    def flaky(g, link_id, *args, **kwargs):
-        if link_id == 5:
-            raise OscillationError("synthetic failure")
-        return real(g, link_id, *args, **kwargs)
-
-    monkeypatch.setattr(greedy_mod, "run_from_seed", flaky)
-    res = greedy_mod.run_all_seeds(karate)
-    assert res.failures == {5: "synthetic failure"}
-    assert len(res.trajectories) == karate.m - 1
-    assert len(res.communities) == 7  # the other seeds still cover everything
+def test_a_run_that_exhausts_its_budget_returns_its_trajectory():
+    g = load_edge_list(OSCILLATING, weighted=True)
+    res = run_all_seeds(g)
+    assert len(res.trajectories) == 15
+    failed = [t for t in res.trajectories if t.failure is not None]
+    assert [tuple(sorted(g.link_label_pair(t.link_id), key=int)) for t in failed] == [
+        ("1", "8"),
+        ("1", "10"),
+        ("6", "8"),
+        ("8", "9"),
+        ("8", "10"),
+        ("9", "10"),
+    ]
+    for t in failed:
+        assert t.failure.endswith("no progress after 101 phases")
+        assert t.minima and not t.covers_graph
+        assert t.final_nodes in t.minima and t.final_psi == psi(g, t.final_nodes)
+    assert sum(res.histogram.values()) == 15
+    assert len(res.communities) == 3
 
 
 @settings(max_examples=60)
