@@ -53,7 +53,6 @@ that reaches it computes it with its own generator.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .graph import Graph, boundary_nodes, induced_links, is_connected, minimum_sort_key
@@ -326,6 +325,9 @@ def run_all_seeds(
     # the pool starts every worker it is given, so never more than there are seeds
     workers = min(jobs, g.m)
     if workers > 1:
+        # imported here: concurrent.futures costs every --jobs 1 process its start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(g, policy)
         ) as pool:

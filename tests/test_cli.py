@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, formats, and exit codes."""
 
+import concurrent.futures
 import csv
 import json
 import stat
@@ -629,7 +630,8 @@ def test_detect_pool_has_no_more_workers_than_seeds(tmp_path, capsys, monkeypatc
             started.append(chunksize)
             return map(fn, iterable)
 
-    monkeypatch.setattr(greedy, "ProcessPoolExecutor", SerialPool)
+    # run_all_seeds imports the pool class from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(greedy, "_WORKER", {})
     serial, pooled = tmp_path / "serial.json", tmp_path / "pooled.json"
     assert cli.main(["detect", "--dataset", "karate", "--out", str(serial)]) == 0
@@ -801,3 +803,15 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["seeds"]["histogram"] == {"1": 27, "2": 42, "3": 9}
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    """concurrent.futures is imported only by detect --jobs 2 and more."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, nodecut.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,4 +1,4 @@
-"""Byte-identity of the karate and mixed-label outputs, pinned as sha256 digests.
+"""Byte-identity of the karate, mixed-label and oracle outputs, pinned as sha256 digests.
 
 The all-seeds report is hashed without --trajectories (that option writes
 its directory into the report); the trajectory CSVs are hashed as one
@@ -9,12 +9,17 @@ Karate labels are all numeric. The mixed-label graph mixes numbers and
 words so that first-appearance order, label order (numbers numerically,
 then words) and plain string order all differ; its communities come in
 equal-psi, equal-size pairs that only label order ranks.
+
+The oracle digests pin `oracle --compare` output against a detect report:
+on the weighted OSCILLATING graph (3 exact minima, all found) and on a
+13-node random graph with 4 exact minima, one of which detect misses.
 """
 
 import hashlib
 
 import pytest
 
+from conftest import OSCILLATING
 from nodecut import cli
 
 REPORT_SHA256 = {
@@ -121,3 +126,49 @@ def test_mixed_label_hierarchy_json_digest(tmp_path, monkeypatch):
     dot = tmp_path / "dag.dot"
     assert cli.main(["hierarchy", "--report", str(report), "--json", str(pairs), "--dot", str(dot)]) == 0
     assert _sha256(pairs.read_bytes()) == MIXED_HIERARCHY_JSON_SHA256
+
+
+# 13 nodes, 21 unit links: random_connected_graph(random.Random(18), 13, 9).
+# Four exact minima, of which detect finds three, so --compare lists one
+# oracle-only minimum.
+RANDOM13_EDGE_LIST = """\
+1 2
+1 3
+3 4
+4 5
+3 6
+2 7
+2 8
+8 9
+8 10
+3 11
+8 12
+5 13
+1 6
+8 11
+5 10
+7 13
+4 9
+9 10
+5 7
+4 10
+12 13
+"""
+ORACLE_COMPARE_SHA256 = {
+    "oscillating": "052ec539766d1371b64a9449e5215980a66dc01ddca90391a9fa48f082cb1b87",
+    "random13": "3820c7f95b338ee92c0a437aaaf6cc319a08f20f562db0b5d860933a831acbb9",
+}
+ORACLE_INPUTS = {
+    "oscillating": (OSCILLATING, ["--weighted"]),
+    "random13": (RANDOM13_EDGE_LIST, []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))
+def test_oracle_compare_digest(tmp_path, monkeypatch, name):
+    text, graph_args = ORACLE_INPUTS[name]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.edges").write_text(text)
+    assert cli.main(["detect", "g.edges", *graph_args, "--out", "report.json"]) == 0
+    assert cli.main(["oracle", "g.edges", *graph_args, "--compare", "report.json", "--out", "oracle.json"]) == 0
+    assert _sha256((tmp_path / "oracle.json").read_bytes()) == ORACLE_COMPARE_SHA256[name]
