@@ -24,6 +24,7 @@ import os
 import shutil
 import sys
 import time
+from typing import Iterable
 
 from .datasets import DATASETS, builtin_graph
 from .errors import (
@@ -35,7 +36,7 @@ from .errors import (
 )
 from .graph import Graph, induced_links, is_connected, load_edge_list
 from .greedy import TieBreakPolicy, merge_trajectories, run_all_seeds, run_from_seed
-from .hierarchy import build_polyhierarchy, classify_overlap, cover_check, dag_to_dot
+from .hierarchy import build_polyhierarchy, dag_to_dot, hierarchy_json
 from .landscape import DEFAULT_MAX_NODES, exact_local_minima, verify_local_minimum
 from .linegraph import build_line_graph, check_equivalence
 from .psi import psi
@@ -43,7 +44,6 @@ from .report import (
     build_report,
     communities_from_report,
     dumps_report,
-    link_label_pairs,
     load_report,
     report_graph,
     same_graph_size,
@@ -98,15 +98,18 @@ def _policy(args) -> TieBreakPolicy:
     return TieBreakPolicy(mode=mode, rng_seed=args.rng_seed)
 
 
-def _write_files(outputs: list[tuple[str, str]]):
+def _write_files(outputs: list[tuple[str, str | Iterable[str]]]):
     """Write every (path, text), or on a failed file write none of them.
 
     The one writer of every file a command outputs: reports, DOT, JSON,
-    line graphs and trajectory CSVs. "-" is standard output. A regular
+    line graphs and trajectory CSVs. A text is a str or an iterable of str
+    chunks, which is written as it is consumed, so a large document need not
+    be held whole. "-" is standard output. A regular
     file, existing or new, is staged in a temporary file beside it (beside
     a link's target, so links stay links) that takes the old file's mode,
     and every target is replaced only once all staging writes have
-    succeeded; when two paths name one file the later text wins. Standard
+    succeeded; when two paths name one file the later text wins (the
+    earlier one is not consumed). Standard
     output and paths that exist but are not regular files (a device or a
     pipe) are written last, in order. Files get the text's UTF-8 bytes with
     no newline translation. A failure ends with error[output] and the
@@ -115,6 +118,8 @@ def _write_files(outputs: list[tuple[str, str]]):
     staged = {}  # real target -> (path as given, text)
     direct = []  # (path as given, text)
     for path, text in outputs:
+        if isinstance(text, str):
+            text = (text,)
         if path == "-" or (os.path.exists(path) and not os.path.isfile(path)):
             if os.path.isdir(path):
                 _fail(2, "output", f"{path}: is a directory")
@@ -130,7 +135,7 @@ def _write_files(outputs: list[tuple[str, str]]):
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             temps[target] = tmp
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                fh.writelines(text)
             if os.path.exists(target):
                 shutil.copymode(target, tmp)
         for target, tmp in temps.items():
@@ -138,10 +143,10 @@ def _write_files(outputs: list[tuple[str, str]]):
             os.replace(tmp, target)
         for path, text in direct:
             if path == "-":
-                sys.stdout.write(text)
+                sys.stdout.writelines(text)
             else:
                 with open(path, "w", encoding="utf-8", newline="") as fh:
-                    fh.write(text)
+                    fh.writelines(text)
     except OSError as exc:
         _fail(2, "output", f"{path}: {exc.strerror or exc}")
     finally:
@@ -223,6 +228,7 @@ def cmd_detect(args) -> int:
 
 def cmd_oracle(args) -> int:
     g, source = _load_graph(args)
+    _check_output_path(args.out)
     try:
         minima = exact_local_minima(g, max_nodes=args.max_nodes, force=args.force)
     except TooLarge as exc:
@@ -327,34 +333,16 @@ def cmd_verify(args) -> int:
 
 def cmd_hierarchy(args) -> int:
     report = load_report(args.report)
+    _check_output_path(args.dot)
+    _check_output_path(args.json)
     g = report_graph(report)
     communities, names = communities_from_report(g, report)
     # an included ground state duplicates the DAG root
     named = [(name, c) for name, c in zip(names, communities) if len(c.nodes) < g.n]
     dag = build_polyhierarchy(g, [c for _, c in named], [name for name, _ in named])
-    pairs = []
-    for i, (a, ca) in enumerate(named):
-        for b, cb in named[i + 1 :]:
-            rel = classify_overlap(ca, cb)
-            pairs.append(
-                {
-                    "a": a,
-                    "b": b,
-                    "kind": rel.kind,
-                    "shared_nodes": sorted_labels(g, rel.shared_nodes),
-                    "shared_links": link_label_pairs(g, rel.shared_links),
-                    "covers_graph": cover_check(g, ca, cb),
-                }
-            )
-    doc = {
-        "names": dag.names,
-        "edges": [[p, c] for p, c in dag.edges],
-        "pairs": pairs,
-    }
-    dot_text = dag_to_dot(dag)
-    outputs = [(args.dot or "-", dot_text)]
+    outputs = [(args.dot or "-", dag_to_dot(dag))]
     if args.dot or args.json:
-        outputs.append((args.json or "-", dumps_report(doc)))
+        outputs.append((args.json or "-", hierarchy_json(g, dag, [c for _, c in named])))
     _write_files(outputs)
     return 0
 

@@ -8,11 +8,22 @@ Nesting takes precedence: a contained community is hierarchy, not overlap.
 The polyhierarchy is the transitive reduction of strict node-set containment
 over the communities plus a synthetic whole-graph root C0; a community may
 have several parents.
+
+hierarchy_json streams the `hierarchy --json` document, one pair after
+another, so its size on disk is never held in memory. It works on int
+bitsets: node and boundary masks with bit g.rank[i] for node i, and link
+masks with one bit per link in label order. Every label and every link is
+rendered as JSON text once, and a pair's text is joined from those pieces;
+the bytes are those of dumps_report over the document.
 """
 
 from __future__ import annotations
 
+import json
+from bisect import bisect_right
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
+from typing import Iterator
 
 from .graph import Graph
 from .greedy import Community
@@ -24,6 +35,7 @@ __all__ = [
     "cover_check",
     "build_polyhierarchy",
     "dag_to_dot",
+    "hierarchy_json",
 ]
 
 
@@ -38,19 +50,25 @@ class OverlapRelation:
     shared_links: frozenset[int]
 
 
+def _overlap_kind(a, b, a_boundary, b_boundary) -> str:
+    """The one classification rule, for node sets given as frozensets or as int bitsets."""
+    shared = a & b
+    if shared == a or shared == b:
+        return "nested"
+    if not shared:
+        return "disjoint"
+    if shared & a_boundary & b_boundary == shared:
+        return "boundary-overlap"
+    return "permeating"
+
+
 def classify_overlap(a: Community, b: Community) -> OverlapRelation:
     """Relation between two distinct communities; symmetric in its arguments."""
-    shared_nodes = a.nodes & b.nodes
-    shared_links = a.links & b.links
-    if a.nodes <= b.nodes or b.nodes <= a.nodes:
-        kind = "nested"
-    elif not shared_nodes:
-        kind = "disjoint"
-    elif shared_nodes <= a.boundary and shared_nodes <= b.boundary:
-        kind = "boundary-overlap"
-    else:
-        kind = "permeating"
-    return OverlapRelation(kind=kind, shared_nodes=shared_nodes, shared_links=shared_links)
+    return OverlapRelation(
+        kind=_overlap_kind(a.nodes, b.nodes, a.boundary, b.boundary),
+        shared_nodes=a.nodes & b.nodes,
+        shared_links=a.links & b.links,
+    )
 
 
 def cover_check(g: Graph, a: Community, b: Community) -> bool:
@@ -67,29 +85,44 @@ class PolyhierarchyDag:
     edges: list[tuple[str, str]]  # (parent, child)
 
 
+def _mask(bits: list[int], items) -> int:
+    """Int bitset of items, item i setting bits[i]."""
+    mask = 0
+    for i in items:
+        mask |= bits[i]
+    return mask
+
+
 def build_polyhierarchy(
     g: Graph, communities: list[Community], names: list[str]
 ) -> PolyhierarchyDag:
-    """Transitive reduction of strict containment, rooted at the whole graph g."""
+    """Transitive reduction of strict containment, rooted at the whole graph g.
+
+    A child's parents are scanned in ascending size, so every strict subset
+    of a candidate that contains the child comes first; the candidate is a
+    direct parent when no direct parent found before it lies strictly
+    inside it.
+    """
     if len(names) != len(communities):
         raise ValueError("one name per community required")
-    sets = {name: c.nodes for name, c in zip(names, communities)}
-    whole = frozenset(range(g.n))
+    node_bits = [1 << r for r in g.rank]
+    masks = [_mask(node_bits, c.nodes) for c in communities]
+    by_size = sorted(range(len(masks)), key=lambda k: len(communities[k].nodes))
+    sizes = [len(communities[k].nodes) for k in by_size]
     edges = []
-    for child, child_set in sets.items():
-        parents = [
-            p for p, p_set in sets.items() if child_set < p_set
-        ]
-        direct = [
-            p
-            for p in parents
-            if not any(sets[q] < sets[p] for q in parents if q != p)
-        ]
+    for child, child_mask in enumerate(masks):
+        direct = []
+        for p in by_size[bisect_right(sizes, len(communities[child].nodes)) :]:
+            p_mask = masks[p]
+            if child_mask & p_mask == child_mask and not any(
+                masks[d] & p_mask == masks[d] != p_mask for d in direct
+            ):
+                direct.append(p)
+        edges.extend((names[p], names[child]) for p in direct)
         if not direct:
-            direct = [ROOT]
-        edges.extend((p, child) for p in direct)
-    node_sets = dict(sets)
-    node_sets[ROOT] = whole
+            edges.append((ROOT, names[child]))
+    node_sets = {name: c.nodes for name, c in zip(names, communities)}
+    node_sets[ROOT] = frozenset(range(g.n))
     order = {name: i for i, name in enumerate([ROOT, *names])}
     edges.sort(key=lambda e: (order[e[0]], order[e[1]]))
     return PolyhierarchyDag(names=[ROOT, *names], node_sets=node_sets, edges=edges)
@@ -104,3 +137,69 @@ def dag_to_dot(dag: PolyhierarchyDag) -> str:
         lines.append(f'  "{parent}" -> "{child}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _list_text(mask: int, texts: list[str]) -> str:
+    """A pair's shared_nodes or shared_links value: the texts of mask's bits, lowest first."""
+    if not mask:
+        return "[]"
+    pieces = []
+    while mask:
+        low = mask & -mask
+        pieces.append(texts[low.bit_length() - 1])
+        mask ^= low
+    return "[" + ",".join(pieces) + "\n      ]"
+
+
+def hierarchy_json(
+    g: Graph, dag: PolyhierarchyDag, communities: list[Community]
+) -> Iterator[str]:
+    """Text of the `hierarchy --json` document, in chunks of one row of pairs each.
+
+    communities are dag's named communities, in dag.names[1:] order. The
+    document is {"edges", "names", "pairs"}, its bytes those of
+    dumps_report. pairs holds one object per pair (a before b in that
+    order): its classify_overlap kind, the shared nodes (sorted_labels) and
+    shared links (link_label_pairs), and whether the two cover the graph.
+    """
+    rank = g.rank
+    label = [encode_basestring_ascii(g.labels[i]) for i in g.order]  # by rank
+    node_bits = [1 << r for r in rank]
+    node_text = ["\n        " + text for text in label]
+    ranked_links = sorted(
+        (min(rank[u], rank[v]), max(rank[u], rank[v]), lid) for lid, (u, v) in enumerate(g.link_ends)
+    )
+    link_bits = [0] * g.m
+    link_text = []
+    for pos, (ru, rv, lid) in enumerate(ranked_links):
+        link_bits[lid] = 1 << pos
+        link_text.append(f"\n        [\n          {label[ru]},\n          {label[rv]}\n        ]")
+    rows = [
+        (
+            encode_basestring_ascii(name),
+            _mask(node_bits, c.nodes),
+            _mask(node_bits, c.boundary),
+            _mask(link_bits, c.links),
+        )
+        for name, c in zip(dag.names[1:], communities)
+    ]
+    full = (1 << g.n) - 1
+
+    head = json.dumps({"edges": [list(e) for e in dag.edges], "names": dag.names}, sort_keys=True, indent=2)
+    yield head[: -len("\n}")] + ',\n  "pairs": '  # "pairs" sorts last, so it goes on the open document
+    opened = False
+    for i, (a, na, ba, la) in enumerate(rows):
+        row = [
+            '{\n      "a": ' + a
+            + ',\n      "b": ' + b
+            + ',\n      "covers_graph": ' + ("true" if na | nb == full else "false")
+            + ',\n      "kind": "' + _overlap_kind(na, nb, ba, bb)
+            + '",\n      "shared_links": ' + _list_text(la & lb, link_text)
+            + ',\n      "shared_nodes": ' + _list_text(na & nb, node_text)
+            + "\n    }"
+            for b, nb, bb, lb in rows[i + 1 :]
+        ]
+        if row:
+            yield (",\n    " if opened else "[\n    ") + ",\n    ".join(row)
+            opened = True
+    yield "\n  ]\n}\n" if opened else "[]\n}\n"

@@ -566,6 +566,36 @@ def test_detect_checks_output_paths_before_running_seeds(tmp_path, capsys, monke
     assert out == ""
 
 
+# command -> (cli names of the work it must not start, argv with a bad output path)
+EARLY_OUTPUT_CHECKS = {
+    "hierarchy-json": (
+        ["build_polyhierarchy", "hierarchy_json"],
+        lambda edges, report, bad: ["hierarchy", "--report", report, "--json", bad],
+    ),
+    "hierarchy-dot": (
+        ["build_polyhierarchy", "hierarchy_json"],
+        lambda edges, report, bad: ["hierarchy", "--report", report, "--dot", bad],
+    ),
+    "oracle-out": (["exact_local_minima"], lambda edges, report, bad: ["oracle", edges, "--out", bad]),
+}
+
+
+@pytest.mark.parametrize("write", list(EARLY_OUTPUT_CHECKS))
+def test_hierarchy_and_oracle_check_output_paths_before_the_work(tmp_path, capsys, monkeypatch, write):
+    edges, report = _two_triangle_report(tmp_path)
+    work, argv = EARLY_OUTPUT_CHECKS[write]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output paths were checked")
+
+    for name in work:
+        monkeypatch.setattr(cli, name, no_work)
+    capsys.readouterr()
+    code, out, err = run_cli(argv(str(edges), str(report), str(tmp_path / "missing" / "x.json")), capsys)
+    _assert_one_error(code, err, "output")
+    assert out == ""
+
+
 def test_detect_writes_all_outputs_or_none(tmp_path, capsys):
     """A trajectory CSV that cannot be written leaves no report and no other CSV."""
     edges = tmp_path / "twotri.edges"

@@ -2,7 +2,8 @@
 
 The all-seeds report is hashed without --trajectories (that option writes
 its directory into the report); the trajectory CSVs are hashed as one
-stream of (file name, contents) in file-name order. A change to these
+stream of (file name, contents) in file-name order. `hierarchy` is hashed
+on both outputs, the pairs JSON and the DOT DAG. A change to these
 digests is a change of output, not a refactoring.
 
 Karate labels are all numeric. The mixed-label graph mixes numbers and
@@ -31,6 +32,7 @@ TRAJECTORIES_SHA256 = {
     "rng-1": "c8e82439dfb5c2c78b36103295e81d25d39f77723b4f2526e3bb03cb959dc159",
 }
 HIERARCHY_JSON_SHA256 = "c0f37a7f0b8ff9fa791babbda93de7d6b12a8746a869f9334601aa249000d191"
+HIERARCHY_DOT_SHA256 = "d87ff48a6a084530a50c6327a0143fc932007cd482c4b215b883bff6c95f6b1d"
 
 # 14 nodes, 24 weighted links: three four-node groups joined through 41, d, a, b
 MIXED_EDGE_LIST = """\
@@ -64,6 +66,7 @@ MIXED_REPORT_SHA256 = {
     "rng-1": "c4190a9d6f1ddb1e0758f73e87c1c9fdc567a83a4bec18214b79e51f97abf8cb",
 }
 MIXED_HIERARCHY_JSON_SHA256 = "4f116d7d7402682b6803bbda7cebd2fad5a869e19cd3a1b8b917ac9c7508af6a"
+MIXED_HIERARCHY_DOT_SHA256 = "26c3c462da600269c2e038f3d2c41cdf8d4d1998d1ebcde4bfcbce1666f6728d"
 
 POLICY_ARGS = {"det": [], "rng-1": ["--tie-break", "rng", "--rng-seed", "1"]}
 
@@ -102,6 +105,7 @@ def test_karate_hierarchy_json_digest(tmp_path):
     dot = tmp_path / "dag.dot"
     assert cli.main(["hierarchy", "--report", str(report), "--json", str(pairs), "--dot", str(dot)]) == 0
     assert _sha256(pairs.read_bytes()) == HIERARCHY_JSON_SHA256
+    assert _sha256(dot.read_bytes()) == HIERARCHY_DOT_SHA256
 
 
 def _detect_mixed(tmp_path, monkeypatch, policy, *extra):
@@ -126,6 +130,7 @@ def test_mixed_label_hierarchy_json_digest(tmp_path, monkeypatch):
     dot = tmp_path / "dag.dot"
     assert cli.main(["hierarchy", "--report", str(report), "--json", str(pairs), "--dot", str(dot)]) == 0
     assert _sha256(pairs.read_bytes()) == MIXED_HIERARCHY_JSON_SHA256
+    assert _sha256(dot.read_bytes()) == MIXED_HIERARCHY_DOT_SHA256
 
 
 # 13 nodes, 21 unit links: random_connected_graph(random.Random(18), 13, 9).

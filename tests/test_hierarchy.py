@@ -1,7 +1,10 @@
 """Overlap classification and the containment polyhierarchy."""
 
+import random
+
 from nodecut import (
     Community,
+    Graph,
     build_polyhierarchy,
     classify_overlap,
     cover_check,
@@ -54,6 +57,15 @@ def test_classify_is_symmetric(karate_named):
             assert ab.kind == ba.kind
             assert ab.shared_nodes == ba.shared_nodes
             assert ab.shared_links == ba.shared_links
+
+
+def test_shared_node_inside_one_side_permeates():
+    """Boundary overlap needs every shared node on both boundaries."""
+    a = Community(nodes=frozenset({0, 1, 2}), links=frozenset(), psi=0.5, boundary=frozenset({2}))
+    b = Community(nodes=frozenset({2, 3, 4}), links=frozenset(), psi=0.5, boundary=frozenset({3}))
+    assert classify_overlap(a, b).kind == classify_overlap(b, a).kind == "permeating"
+    b_edge = Community(nodes=b.nodes, links=frozenset(), psi=0.5, boundary=frozenset({2}))
+    assert classify_overlap(a, b_edge).kind == "boundary-overlap"
 
 
 def test_cover_check(karate, karate_named):
@@ -125,3 +137,53 @@ def test_dot_output_lists_every_edge(karate, karate_result):
     assert dot.startswith("digraph")
     for parent, child in dag.edges:
         assert f'"{parent}" -> "{child}";' in dot
+
+
+def brute_force_edges(g, communities, names):
+    """(parent, child) for every strict containment with nothing strictly between, C0 above the tops.
+
+    Listed in the order of build_polyhierarchy: by parent, then child, in
+    [C0, *names] order.
+    """
+    sets = [c.nodes for c in communities]
+    edges = []
+    for ci, child in enumerate(sets):
+        above = [p for p, s in enumerate(sets) if child < s]
+        direct = [p for p in above if not any(child < sets[q] < sets[p] for q in above)]
+        edges += [(names[p], names[ci]) for p in direct] or [("C0", names[ci])]
+    order = {name: i for i, name in enumerate(["C0", *names])}
+    return sorted(edges, key=lambda e: (order[e[0]], order[e[1]]))
+
+
+def random_family(rng, n):
+    """Node sets that nest, overlap, repeat, share sizes and cover the whole graph."""
+    sets = [frozenset(range(n))] if rng.random() < 0.3 else []
+    count = rng.randint(2, 12)
+    while len(sets) < count:
+        roll = rng.random()
+        if sets and roll < 0.4:  # a strict subset of an earlier set
+            base = sorted(rng.choice(sets))
+            if len(base) > 1:
+                sets.append(frozenset(rng.sample(base, rng.randint(1, len(base) - 1))))
+        elif sets and roll < 0.5:  # a repeat
+            sets.append(rng.choice(sets))
+        elif sets and roll < 0.6:  # a superset of an earlier set
+            sets.append(rng.choice(sets) | frozenset(rng.sample(range(n), rng.randint(1, 3))))
+        else:  # an unrelated set
+            sets.append(frozenset(rng.sample(range(n), rng.randint(1, n))))
+    rng.shuffle(sets)
+    return sets
+
+
+def test_polyhierarchy_is_the_brute_force_transitive_reduction():
+    rng = random.Random(5)
+    for trial in range(300):
+        n = rng.randint(3, 10)
+        labels = [str(i) if i % 3 else f"x{i}" for i in range(n)]  # label order is not index order
+        rng.shuffle(labels)
+        g = Graph(labels, [(i - 1, i, 1.0) for i in range(1, n)])
+        comms = [_mini(s) for s in random_family(rng, n)]
+        names = [f"C{k + 1}" for k in range(len(comms))]
+        dag = build_polyhierarchy(g, comms, names)
+        assert dag.edges == brute_force_edges(g, comms, names), trial
+        assert dag.names == ["C0", *names]

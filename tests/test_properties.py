@@ -1,4 +1,5 @@
-"""Properties on generated graphs: edge-list round trip, parse errors, reproducible reports."""
+"""Properties on generated graphs and reports: edge-list round trip, parse errors, reproducible
+reports, and hierarchy JSON byte for byte."""
 
 import contextlib
 import io
@@ -14,7 +15,16 @@ from nodecut import Graph, cli
 from nodecut.errors import EdgeListError
 from nodecut.graph import edge_list_text, load_edge_list
 from nodecut.greedy import TieBreakPolicy, run_all_seeds
-from nodecut.report import build_report, dumps_report, trajectory_csv
+from nodecut.hierarchy import build_polyhierarchy, classify_overlap, cover_check, dag_to_dot
+from nodecut.report import (
+    build_report,
+    communities_from_report,
+    dumps_report,
+    link_label_pairs,
+    report_graph,
+    sorted_labels,
+    trajectory_csv,
+)
 from conftest import random_connected_graph, random_weighted_graph
 
 # numbers, and tokens that mix letters, digits and punctuation ("01", "x-1", "é.b")
@@ -131,3 +141,114 @@ def test_jobs_do_not_change_report_bytes(g, rng_seed):
     """A two-worker pool gives the serial sweep's report and CSVs, byte for byte."""
     for policy in (TieBreakPolicy(), TieBreakPolicy("random", rng_seed)):
         assert detect_outputs(g, policy, jobs=2) == detect_outputs(g, policy, jobs=1)
+
+
+# labels JSON must escape ('"', '\\', non-ASCII) among numeric ones
+ESCAPED_LABEL = st.one_of(
+    st.integers(-5, 300).map(str),
+    st.text(alphabet='ab"\\é\u4e2d\U0001f600x09', min_size=1, max_size=4),
+)
+
+
+@st.composite
+def hierarchy_reports(draw):
+    """Hand-edited-looking reports: any node, boundary and link sets, and an optional ground state."""
+    labels = draw(st.lists(ESCAPED_LABEL, min_size=2, max_size=9, unique=True))
+    n = len(labels)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    some_nodes = st.sets(st.integers(0, n - 1), min_size=1)
+    entries, links = [], set()
+    for k in range(draw(st.integers(1, 7))):
+        # now and then the whole graph, which hierarchy leaves out as the DAG root
+        nodes = set(range(n)) if draw(st.integers(0, 5)) == 0 else draw(some_nodes)
+        # most members on the boundary, a few inside it, and now and then a non-member
+        inner = draw(st.sets(st.integers(0, n - 1), max_size=2))
+        boundary = (nodes - inner) | draw(st.sets(st.integers(0, n - 1), max_size=1))
+        own = draw(st.sets(st.sampled_from(pairs), max_size=6))
+        links |= own
+        flip = draw(st.booleans())
+        entries.append(
+            {
+                "name": f"C{k + 1}" + draw(st.text(alphabet='"\\é ', max_size=2)),
+                "nodes": [labels[i] for i in nodes],
+                "boundary": [labels[i] for i in boundary],
+                # either end first, as a hand-edited report may list them
+                "links": [[labels[u], labels[v]] if (u + v + flip) % 2 else [labels[v], labels[u]] for u, v in own],
+                "psi": 0.5,
+            }
+        )
+    if draw(st.booleans()):  # --include-ground-state
+        entries.insert(
+            0,
+            {"name": "C0", "nodes": labels, "boundary": [], "links": [[labels[u], labels[v]] for u, v in sorted(links)], "psi": 0.0},
+        )
+    return {"graph": {"n": n, "m": len(links), "labels": labels}, "communities": entries}
+
+
+def pairs_document_text(report):
+    """dumps_report of the {"names", "edges", "pairs"} document, built pair by pair from sets."""
+    g = report_graph(report)
+    communities, names = communities_from_report(g, report)
+    named = [(name, c) for name, c in zip(names, communities) if len(c.nodes) < g.n]
+    dag = build_polyhierarchy(g, [c for _, c in named], [name for name, _ in named])
+    pairs = []
+    for i, (a, ca) in enumerate(named):
+        for b, cb in named[i + 1 :]:
+            rel = classify_overlap(ca, cb)
+            pairs.append(
+                {
+                    "a": a,
+                    "b": b,
+                    "kind": rel.kind,
+                    "shared_nodes": sorted_labels(g, rel.shared_nodes),
+                    "shared_links": link_label_pairs(g, rel.shared_links),
+                    "covers_graph": cover_check(g, ca, cb),
+                }
+            )
+    doc = {"names": dag.names, "edges": [[p, c] for p, c in dag.edges], "pairs": pairs}
+    return dumps_report(doc), dag_to_dot(dag)
+
+
+def run_hierarchy(report_path, *args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["hierarchy", "--report", report_path, *args])
+    assert code == 0
+    return out.getvalue()
+
+
+def assert_streamed_json_is_the_document(report):
+    expected, dot = pairs_document_text(report)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "r.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(dumps_report(report))
+        json_path, dot_path, both = (os.path.join(tmp, f) for f in ("pairs.json", "dag.dot", "both.txt"))
+        assert run_hierarchy(path, "--dot", dot_path, "--json", json_path) == ""
+        with open(json_path, encoding="utf-8", newline="") as fh:
+            assert fh.read() == expected
+        with open(dot_path, encoding="utf-8", newline="") as fh:
+            assert fh.read() == dot
+        assert run_hierarchy(path, "--json", "-") == dot + expected
+        assert run_hierarchy(path, "--dot", both, "--json", both) == ""
+        with open(both, encoding="utf-8", newline="") as fh:
+            assert fh.read() == expected  # the later text wins
+    return expected
+
+
+@settings(max_examples=80)
+@given(hierarchy_reports())
+def test_streamed_hierarchy_json_is_dumps_report_of_the_pairs_document(report):
+    assert_streamed_json_is_the_document(report)
+
+
+@pytest.mark.parametrize("count", [0, 1])
+@pytest.mark.parametrize("ground_state", [False, True])
+def test_hierarchy_json_without_pairs(count, ground_state):
+    """No named community or one, with and without the ground state: "pairs" is []."""
+    labels = ["b", "10", "2"]
+    entries = [{"name": "C0", "nodes": labels, "boundary": [], "links": [["b", "2"], ["2", "10"]], "psi": 0.0}]
+    entries += [{"name": "C1", "nodes": ["2", "b"], "boundary": ["b"], "links": [["b", "2"]], "psi": 0.5}][:count]
+    report = {"graph": {"n": 3, "m": 2, "labels": labels}, "communities": entries[not ground_state :]}
+    text = assert_streamed_json_is_the_document(report)
+    assert text.endswith('"pairs": []\n}\n')
