@@ -5,106 +5,67 @@ rather than links; it is scored by the normalised node cut, the degree-
 normalised conductance of its boundary nodes divided by its total internal
 degree. Communities are the local minima of that score over the landscape of
 connected subgraphs, found by greedy expansion from every link of the graph.
+
+Start-up. Importing the package loads none of its modules: each exported
+name is imported from its module on first access (PEP 562), so a command
+line run compiles and executes only the modules its command calls (see
+nodecut.cli), and no module uses dataclasses, whose import alone pulls in
+inspect, ast, dis and tokenize.
 """
 
-from .datasets import KARATE_EDGE_LIST, builtin_graph, karate_graph
-from .errors import (
-    EdgeListError,
-    NodeCutError,
-    NotAMember,
-    NotANeighbor,
-    ReportError,
-    TooLarge,
-    WeightedUnsupported,
-    ZeroInternalDegree,
-)
-from .graph import (
-    MAX_WEIGHT_RATIO,
-    WEIGHT_RANGE,
-    Graph,
-    boundary_nodes,
-    connected_components,
-    edge_list_text,
-    induced_links,
-    is_connected,
-    load_edge_list,
-)
-from .greedy import (
-    Community,
-    DetectionResult,
-    TieBreakPolicy,
-    Trajectory,
-    merge_trajectories,
-    prune,
-    run_all_seeds,
-    run_from_seed,
-)
-from .hierarchy import (
-    OverlapRelation,
-    PolyhierarchyDag,
-    build_polyhierarchy,
-    classify_overlap,
-    cover_check,
-    dag_to_dot,
-)
-from .landscape import (
-    enumerate_connected_subgraphs,
-    exact_local_minima,
-    verify_local_minimum,
-)
-from .linegraph import (
-    LineGraph,
-    build_line_graph,
-    check_equivalence,
-    phi,
-)
-from .psi import SubgraphState, psi, sigma_and_k_in
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Graph",
-    "MAX_WEIGHT_RATIO",
-    "WEIGHT_RANGE",
-    "load_edge_list",
-    "edge_list_text",
-    "induced_links",
-    "is_connected",
-    "boundary_nodes",
-    "connected_components",
-    "psi",
-    "sigma_and_k_in",
-    "SubgraphState",
-    "LineGraph",
-    "build_line_graph",
-    "phi",
-    "check_equivalence",
-    "TieBreakPolicy",
-    "Community",
-    "Trajectory",
-    "DetectionResult",
-    "prune",
-    "run_from_seed",
-    "run_all_seeds",
-    "merge_trajectories",
-    "enumerate_connected_subgraphs",
-    "exact_local_minima",
-    "verify_local_minimum",
-    "OverlapRelation",
-    "PolyhierarchyDag",
-    "classify_overlap",
-    "cover_check",
-    "build_polyhierarchy",
-    "dag_to_dot",
-    "karate_graph",
-    "builtin_graph",
-    "KARATE_EDGE_LIST",
-    "NodeCutError",
-    "EdgeListError",
-    "ZeroInternalDegree",
-    "NotANeighbor",
-    "NotAMember",
-    "WeightedUnsupported",
-    "TooLarge",
-    "ReportError",
-]
+# module -> the names it exports through the package
+_EXPORTS = {
+    "datasets": "KARATE_EDGE_LIST builtin_graph karate_graph",
+    "errors": (
+        "NodeCutError EdgeListError ZeroInternalDegree NotANeighbor NotAMember"
+        " WeightedUnsupported TooLarge ReportError"
+    ),
+    "graph": (
+        "Graph Community MAX_WEIGHT_RATIO WEIGHT_RANGE load_edge_list edge_list_text"
+        " induced_links is_connected boundary_nodes connected_components"
+    ),
+    "psi": "psi sigma_and_k_in SubgraphState",
+    "linegraph": "LineGraph build_line_graph phi check_equivalence",
+    "greedy": (
+        "TieBreakPolicy Trajectory DetectionResult prune run_from_seed run_all_seeds"
+        " merge_trajectories"
+    ),
+    "landscape": "enumerate_connected_subgraphs exact_local_minima verify_local_minimum",
+    "hierarchy": (
+        "OverlapRelation PolyhierarchyDag classify_overlap cover_check build_polyhierarchy"
+        " dag_to_dot"
+    ),
+}
+_SOURCES = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = list(_SOURCES)
+
+
+def __getattr__(name):
+    source = _SOURCES.get(name)
+    if source is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{source}"), name)
+    globals()[name] = value
+    return value
+
+
+class _Package(type(sys)):
+    """The package module's type: the name psi stays with the function.
+
+    Loading the submodule nodecut.psi binds it to the package attribute psi,
+    which would shadow the exported function of that name.
+    """
+
+    def __setattr__(self, name, value):
+        if not (name == "psi" and isinstance(value, type(sys))):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -15,6 +15,12 @@ Exit codes:
 
 Every error path prints a single line "nodecut: error[<kind>]: <message>"
 on standard error.
+
+Each command imports the modules it calls when it runs, so a process loads
+only its command's code. Every command loads datasets, errors and graph;
+detect adds greedy, psi and report; verify landscape, linegraph, psi and
+report; oracle landscape, psi and report; hierarchy hierarchy and report;
+linegraph linegraph and psi.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import os
 import shutil
 import sys
 import time
-from typing import Iterable
+from collections.abc import Iterable
 
 from .datasets import DATASETS, builtin_graph
 from .errors import (
@@ -35,22 +41,6 @@ from .errors import (
     WeightedUnsupported,
 )
 from .graph import Graph, induced_links, is_connected, load_edge_list
-from .greedy import TieBreakPolicy, merge_trajectories, run_all_seeds, run_from_seed
-from .hierarchy import build_polyhierarchy, dag_to_dot, hierarchy_json
-from .landscape import DEFAULT_MAX_NODES, exact_local_minima, verify_local_minimum
-from .linegraph import build_line_graph, check_equivalence
-from .psi import psi
-from .report import (
-    build_report,
-    communities_from_report,
-    dumps_report,
-    load_report,
-    report_graph,
-    same_graph_size,
-    sorted_labels,
-    trajectory_csv,
-    trajectory_file_name,
-)
 
 EQUIVALENCE_TOL = 1e-10
 
@@ -91,11 +81,6 @@ def _load_graph(args) -> tuple[Graph, str]:
     if g.m == 0:
         _fail(2, "empty-graph", "input contains no links")
     return g, args.input
-
-
-def _policy(args) -> TieBreakPolicy:
-    mode = "deterministic" if args.tie_break == "det" else "random"
-    return TieBreakPolicy(mode=mode, rng_seed=args.rng_seed)
 
 
 def _write_files(outputs: list[tuple[str, str | Iterable[str]]]):
@@ -177,11 +162,26 @@ def _check_output_path(path: str | None, directory: bool = False):
             _fail(2, "output", f"{path}: is a directory")
 
 
+def check_equivalence(g: Graph, nodes, lg) -> float:
+    """linegraph.check_equivalence, imported on verify's first call.
+
+    A name of this module that cmd_verify calls, so that bench/tracing.py can
+    record each residual verify computes.
+    """
+    from .linegraph import check_equivalence
+
+    return check_equivalence(g, nodes, lg)
+
+
 def cmd_detect(args) -> int:
+    from .greedy import TieBreakPolicy, merge_trajectories, run_all_seeds, run_from_seed
+    from .report import build_report, dumps_report, trajectory_csv, trajectory_file_name
+
     if args.jobs < 1:
         _fail(2, "usage", f"--jobs must be at least 1, not {args.jobs}")
     g, source = _load_graph(args)
-    policy = _policy(args)
+    mode = "deterministic" if args.tie_break == "det" else "random"
+    policy = TieBreakPolicy(mode=mode, rng_seed=args.rng_seed)
     if g.components > 1 and not args.disconnected_ok:
         _fail(3, "disconnected-graph", "input graph is disconnected; pass --allow-disconnected to proceed")
     _check_output_path(args.out)
@@ -227,10 +227,15 @@ def cmd_detect(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .landscape import DEFAULT_MAX_NODES, exact_local_minima
+    from .psi import psi
+    from .report import communities_from_report, dumps_report, load_report, same_graph_size, sorted_labels
+
     g, source = _load_graph(args)
     _check_output_path(args.out)
+    max_nodes = DEFAULT_MAX_NODES if args.max_nodes is None else args.max_nodes
     try:
-        minima = exact_local_minima(g, max_nodes=args.max_nodes, force=args.force)
+        minima = exact_local_minima(g, max_nodes=max_nodes, force=args.force)
     except TooLarge as exc:
         _fail(4, "too-large", f"{exc}; pass --force to override")
     entries = []
@@ -277,6 +282,11 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .landscape import verify_local_minimum
+    from .linegraph import build_line_graph
+    from .psi import psi
+    from .report import communities_from_report, dumps_report, load_report
+
     g, _ = _load_graph(args)
     communities, names = communities_from_report(g, load_report(args.report))
     run_equivalence = args.equivalence or g.unit_weighted
@@ -332,6 +342,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_hierarchy(args) -> int:
+    from .hierarchy import build_polyhierarchy, dag_to_dot, hierarchy_json
+    from .report import communities_from_report, load_report, report_graph
+
     report = load_report(args.report)
     _check_output_path(args.dot)
     _check_output_path(args.json)
@@ -348,6 +361,8 @@ def cmd_hierarchy(args) -> int:
 
 
 def cmd_linegraph(args) -> int:
+    from .linegraph import build_line_graph
+
     g, source = _load_graph(args)
     try:
         lg = build_line_graph(g)
@@ -396,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("oracle", help="exhaustive landscape minima (small graphs)")
     _add_graph_args(p)
-    p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES)
+    p.add_argument("--max-nodes", type=int)
     p.add_argument("--force", action="store_true", help="override the node cap")
     p.add_argument("--compare", metavar="REPORT", help="check a detect report against the exact minima")
     p.add_argument("--out", help="write JSON here (default: stdout)")

@@ -4,19 +4,26 @@ Nodes are referred to by dense internal indices 0..n-1 everywhere in the
 library; the original edge-list labels are kept on the graph and used for
 all user-facing output. Node sets and link sets are plain Python sets of
 internal indices and link ids.
+
+The record types the search, the report and the hierarchy share live here
+too, so a command that only reads a report loads no search code: Community,
+and Record, the base of the mutable result records.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections import namedtuple
 
 from .errors import EdgeListError
 
 __all__ = [
     "MAX_WEIGHT_RATIO",
     "WEIGHT_RANGE",
+    "ROOT",
     "Graph",
+    "Community",
     "load_edge_list",
     "edge_list_text",
     "induced_links",
@@ -32,6 +39,8 @@ __all__ = [
 MAX_WEIGHT_RATIO = 1e12
 # Smallest and largest accepted link weight; see Graph.__init__.
 WEIGHT_RANGE = (1e-100, 1e100)
+# Name of the whole-graph community: the hierarchy's root, and a report's included ground state.
+ROOT = "C0"
 
 
 def label_sort_key(label: str):
@@ -280,3 +289,34 @@ def connected_components(g: Graph) -> list[set[int]]:
                     stack.append(j)
         comps.append(comp)
     return comps
+
+
+class Community(namedtuple("Community", "nodes links psi boundary seed_count stability", defaults=(0, None))):
+    """A recorded local minimum: node set plus derived facts.
+
+    nodes and boundary are frozensets of node indices, links a frozenset of
+    link ids; stability is a float, or None when no community has a lower
+    psi. Immutable and hashable, like any named tuple.
+    """
+
+    __slots__ = ()
+
+
+class Record:
+    """Base of the mutable result records: one attribute per __slots__ entry.
+
+    Records of one class are equal when every field is; they are not
+    hashable, and pickle through their slots.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"

@@ -53,14 +53,13 @@ that reaches it computes it with its own generator.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 
-from .graph import Graph, boundary_nodes, induced_links, is_connected, minimum_sort_key
+from .graph import Community, Graph, Record, boundary_nodes, induced_links, is_connected, minimum_sort_key
 from .psi import MOVE_TOL, SubgraphState, psi
 
 __all__ = [
     "TieBreakPolicy",
-    "Community",
     "Trajectory",
     "DetectionResult",
     "prune",
@@ -70,16 +69,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TieBreakPolicy:
-    """How tied moves are resolved; deterministic mode ignores rng_seed."""
+class TieBreakPolicy(namedtuple("TieBreakPolicy", "mode rng_seed")):
+    """How tied moves are resolved; deterministic mode ignores rng_seed.
 
-    mode: str = "deterministic"
-    rng_seed: int = 0
+    mode is "deterministic" or "random"; any other mode raises ValueError.
+    """
 
-    def __post_init__(self):
-        if self.mode not in ("deterministic", "random"):
-            raise ValueError(f"unknown tie-break mode {self.mode!r}")
+    __slots__ = ()
+
+    def __new__(cls, mode: str = "deterministic", rng_seed: int = 0):
+        if mode not in ("deterministic", "random"):
+            raise ValueError(f"unknown tie-break mode {mode!r}")
+        return super().__new__(cls, mode, rng_seed)
 
     def rng_for(self, link_id: int) -> random.Random | None:
         """Per-seed-link generator, independent of run scheduling."""
@@ -88,20 +89,7 @@ class TieBreakPolicy:
         return random.Random(f"{self.rng_seed}:{link_id}")
 
 
-@dataclass(frozen=True)
-class Community:
-    """A recorded local minimum: node set plus derived facts."""
-
-    nodes: frozenset[int]
-    links: frozenset[int]
-    psi: float
-    boundary: frozenset[int]
-    seed_count: int = 0
-    stability: float | None = None
-
-
-@dataclass
-class Trajectory:
+class Trajectory(Record):
     """Move log of one seed run.
 
     steps holds (step, action, node, psi, size) with action one of
@@ -110,27 +98,47 @@ class Trajectory:
     None, or the message of a run that exhausted its phase budget.
     """
 
-    link_id: int
-    seed: tuple[int, int]
-    steps: list[tuple[int, str, int | None, float, int]]
-    minima: list[frozenset[int]]
-    final_nodes: frozenset[int]
-    final_psi: float
-    covers_graph: bool
-    failure: str | None = None
+    __slots__ = ("link_id", "seed", "steps", "minima", "final_nodes", "final_psi", "covers_graph", "failure")
+
+    def __init__(
+        self,
+        link_id: int,
+        seed: tuple[int, int],
+        steps: list[tuple[int, str, int | None, float, int]],
+        minima: list[frozenset[int]],
+        final_nodes: frozenset[int],
+        final_psi: float,
+        covers_graph: bool,
+        failure: str | None = None,
+    ):
+        self.link_id = link_id
+        self.seed = seed
+        self.steps = steps
+        self.minima = minima
+        self.final_nodes = final_nodes
+        self.final_psi = final_psi
+        self.covers_graph = covers_graph
+        self.failure = failure
 
 
 # A cached phase: (rows without step numbers, next settled set, its psi, frontier empty).
 _Phase = tuple[list[tuple[str, int | None, float, int]], frozenset[int], float, bool]
 
 
-@dataclass
-class DetectionResult:
+class DetectionResult(Record):
     """Aggregated outcome of running every seed link."""
 
-    communities: list[Community]
-    trajectories: list[Trajectory]
-    histogram: dict[int, int] = field(default_factory=dict)
+    __slots__ = ("communities", "trajectories", "histogram")
+
+    def __init__(
+        self,
+        communities: list[Community],
+        trajectories: list[Trajectory],
+        histogram: dict[int, int] | None = None,
+    ):
+        self.communities = communities
+        self.trajectories = trajectories
+        self.histogram = {} if histogram is None else histogram
 
 
 def _select(

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
-from typing import Iterator
 
-from .graph import Graph
-from .greedy import Community
+from .graph import ROOT, Community, Graph, Record
 
 __all__ = [
     "OverlapRelation",
@@ -39,15 +38,10 @@ __all__ = [
 ]
 
 
-# name of the whole-graph community: the DAG root, and a report's included ground state
-ROOT = "C0"
+class OverlapRelation(namedtuple("OverlapRelation", "kind shared_nodes shared_links")):
+    """kind is "disjoint", "nested", "boundary-overlap" or "permeating"; the rest are frozensets."""
 
-
-@dataclass(frozen=True)
-class OverlapRelation:
-    kind: str  # "disjoint" | "nested" | "boundary-overlap" | "permeating"
-    shared_nodes: frozenset[int]
-    shared_links: frozenset[int]
+    __slots__ = ()
 
 
 def _overlap_kind(a, b, a_boundary, b_boundary) -> str:
@@ -76,13 +70,17 @@ def cover_check(g: Graph, a: Community, b: Community) -> bool:
     return len(a.nodes | b.nodes) == g.n
 
 
-@dataclass
-class PolyhierarchyDag:
+class PolyhierarchyDag(Record):
     """Direct-containment edges over named communities plus the whole-graph root."""
 
-    names: list[str]
-    node_sets: dict[str, frozenset[int]]
-    edges: list[tuple[str, str]]  # (parent, child)
+    __slots__ = ("names", "node_sets", "edges")
+
+    def __init__(
+        self, names: list[str], node_sets: dict[str, frozenset[int]], edges: list[tuple[str, str]]
+    ):
+        self.names = names
+        self.node_sets = node_sets
+        self.edges = edges  # (parent, child)
 
 
 def _mask(bits: list[int], items) -> int:
@@ -128,13 +126,19 @@ def build_polyhierarchy(
     return PolyhierarchyDag(names=[ROOT, *names], node_sets=node_sets, edges=edges)
 
 
+def _dot_text(text: str) -> str:
+    """text inside a DOT double-quoted string: backslash and quote escaped."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def dag_to_dot(dag: PolyhierarchyDag) -> str:
     """Graphviz DOT text for the containment DAG."""
     lines = ["digraph communities {", "  rankdir=TB;", "  node [shape=box];"]
     for name in dag.names:
-        lines.append(f'  "{name}" [label="{name}\\n{len(dag.node_sets[name])} nodes"];')
+        quoted = _dot_text(name)
+        lines.append(f'  "{quoted}" [label="{quoted}\\n{len(dag.node_sets[name])} nodes"];')
     for parent, child in dag.edges:
-        lines.append(f'  "{parent}" -> "{child}";')
+        lines.append(f'  "{_dot_text(parent)}" -> "{_dot_text(child)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

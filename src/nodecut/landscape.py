@@ -23,7 +23,7 @@ which keeps the oracle an independent check of the incremental scoring.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from .errors import TooLarge
 from .graph import Graph, is_connected, minimum_sort_key

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import re
 
 from .errors import ReportError
-from .graph import Graph
-from .greedy import Community, DetectionResult, TieBreakPolicy, Trajectory
-from .hierarchy import ROOT
+from .graph import ROOT, Community, Graph
+
+# DetectionResult, TieBreakPolicy and Trajectory (nodecut.greedy) appear in
+# annotations only: importing greedy here would load the search into every
+# command that reads a report.
 
 __all__ = [
     "build_report",
@@ -269,6 +270,8 @@ def trajectory_file_name(g: Graph, traj: Trajectory) -> str:
 
 def trajectory_csv(g: Graph, traj: Trajectory) -> str:
     """CSV text of one run: a header row, then trajectory_rows; lines end in CRLF."""
+    import csv  # only detect --trajectories writes CSV
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["step", "action", "node", "psi", "size"])

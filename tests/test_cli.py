@@ -3,9 +3,11 @@
 import concurrent.futures
 import csv
 import json
+import os
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -555,7 +557,7 @@ def test_detect_checks_output_paths_before_running_seeds(tmp_path, capsys, monke
     def no_run(*args, **kwargs):
         raise AssertionError("seed runs started before the output paths were checked")
 
-    monkeypatch.setattr(cli, "run_all_seeds", no_run)
+    monkeypatch.setattr("nodecut.greedy.run_all_seeds", no_run)
     bad = {
         "out": ["--out", str(tmp_path / "missing" / "r.json")],
         "trajectories": ["--trajectories", str(report)],  # an existing file
@@ -566,17 +568,21 @@ def test_detect_checks_output_paths_before_running_seeds(tmp_path, capsys, monke
     assert out == ""
 
 
-# command -> (cli names of the work it must not start, argv with a bad output path)
+# command -> (the functions of the work it must not start, argv with a bad output path)
+HIERARCHY_WORK = ["nodecut.hierarchy.build_polyhierarchy", "nodecut.hierarchy.hierarchy_json"]
 EARLY_OUTPUT_CHECKS = {
     "hierarchy-json": (
-        ["build_polyhierarchy", "hierarchy_json"],
+        HIERARCHY_WORK,
         lambda edges, report, bad: ["hierarchy", "--report", report, "--json", bad],
     ),
     "hierarchy-dot": (
-        ["build_polyhierarchy", "hierarchy_json"],
+        HIERARCHY_WORK,
         lambda edges, report, bad: ["hierarchy", "--report", report, "--dot", bad],
     ),
-    "oracle-out": (["exact_local_minima"], lambda edges, report, bad: ["oracle", edges, "--out", bad]),
+    "oracle-out": (
+        ["nodecut.landscape.exact_local_minima"],
+        lambda edges, report, bad: ["oracle", edges, "--out", bad],
+    ),
 }
 
 
@@ -588,8 +594,8 @@ def test_hierarchy_and_oracle_check_output_paths_before_the_work(tmp_path, capsy
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the output paths were checked")
 
-    for name in work:
-        monkeypatch.setattr(cli, name, no_work)
+    for target in work:
+        monkeypatch.setattr(target, no_work)
     capsys.readouterr()
     code, out, err = run_cli(argv(str(edges), str(report), str(tmp_path / "missing" / "x.json")), capsys)
     _assert_one_error(code, err, "output")
@@ -845,3 +851,56 @@ def test_importing_the_cli_leaves_the_process_pool_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _imported(args, cwd) -> set[str]:
+    """Modules a fresh `python -X importtime ARGS` process imports beyond those of `python -c pass`."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def names(argv):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", *argv],
+            capture_output=True, text=True, timeout=120, cwd=cwd, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return {
+            line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+
+    return names(args) - names(["-c", "pass"])
+
+
+# nodecut modules every command loads, for its argument parser and its input
+CLI_MODULES = {"nodecut", "nodecut.datasets", "nodecut.errors", "nodecut.graph"}
+# command -> the further nodecut modules it loads
+COMMAND_MODULES = {
+    "detect": {"greedy", "psi", "report"},
+    "verify": {"landscape", "linegraph", "psi", "report"},
+    "oracle": {"landscape", "psi", "report"},
+    "hierarchy": {"hierarchy", "report"},
+    "linegraph": {"linegraph", "psi"},
+}
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, karate_report):
+    """Run as users run it, a command imports its own modules, and dataclasses never."""
+    edges = tmp_path / "twotri.edges"
+    edges.write_text(TWO_TRIANGLES)
+    two = tmp_path / "two.json"
+    assert cli.main(["detect", str(edges), "--out", str(two)]) == 0
+    argv = {
+        "detect": ["detect", "--dataset", "karate", "--out", "r.json"],
+        "verify": ["verify", "--dataset", "karate", "--report", str(karate_report)],
+        "oracle": ["oracle", str(edges), "--compare", str(two)],
+        "hierarchy": ["hierarchy", "--report", str(karate_report), "--json", "h.json", "--dot", "h.dot"],
+        "linegraph": ["linegraph", "--dataset", "karate"],
+    }
+    package = _imported(["-c", "import nodecut"], tmp_path)
+    assert {m for m in package if m.startswith("nodecut")} == {"nodecut"}
+    for command, modules in COMMAND_MODULES.items():
+        loaded = _imported(["-m", "nodecut.cli", *argv[command]], tmp_path)
+        assert "dataclasses" not in loaded, command
+        want = CLI_MODULES | {f"nodecut.{m}" for m in modules}
+        assert {m for m in loaded if m.startswith("nodecut")} == want, command

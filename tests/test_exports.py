@@ -39,6 +39,18 @@ def test_every_exported_name_is_bound():
             assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
+def test_psi_names_the_function_after_its_module_loads():
+    """Loading the submodule nodecut.psi first leaves nodecut.psi the exported function."""
+    code = (
+        "import nodecut.psi, nodecut\n"
+        "from nodecut import psi\n"
+        "assert callable(psi) and psi is nodecut.psi and psi.__module__ == 'nodecut.psi'"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_bench_patch_targets_resolve():
     tracing = _load_tracing()
     for modname, names in tracing.SPANNED.values():

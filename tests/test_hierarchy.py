@@ -139,6 +139,20 @@ def test_dot_output_lists_every_edge(karate, karate_result):
         assert f'"{parent}" -> "{child}";' in dot
 
 
+def test_dot_escapes_quotes_and_backslashes_in_names():
+    """A name with " or \\ stays one DOT string, and its label keeps the line break."""
+    comms = [_mini({0, 1}), _mini({0, 1, 2})]
+    dag = build_polyhierarchy(load_edge_list("1 2\n2 3\n3 4"), comms, ['a"b', "c\\"])
+    assert dag_to_dot(dag).splitlines()[3:] == [
+        r'  "C0" [label="C0\n4 nodes"];',
+        r'  "a\"b" [label="a\"b\n2 nodes"];',
+        r'  "c\\" [label="c\\\n3 nodes"];',
+        r'  "C0" -> "c\\";',
+        r'  "c\\" -> "a\"b";',
+        "}",
+    ]
+
+
 def brute_force_edges(g, communities, names):
     """(parent, child) for every strict containment with nothing strictly between, C0 above the tops.
 
