@@ -175,7 +175,7 @@ def check_equivalence(g: Graph, nodes, lg) -> float:
 
 def cmd_detect(args) -> int:
     from .greedy import TieBreakPolicy, merge_trajectories, run_all_seeds, run_from_seed
-    from .report import build_report, dumps_report, trajectory_csv, trajectory_file_name
+    from .report import build_report, dumps_report, trajectory_csvs, trajectory_file_name
 
     if args.jobs < 1:
         _fail(2, "usage", f"--jobs must be at least 1, not {args.jobs}")
@@ -209,9 +209,10 @@ def cmd_detect(args) -> int:
     )
     outputs = []
     if args.trajectories:
+        texts = trajectory_csvs(g, result.trajectories)
         outputs = [
-            (os.path.join(args.trajectories, trajectory_file_name(g, t)), trajectory_csv(g, t))
-            for t in result.trajectories
+            (os.path.join(args.trajectories, trajectory_file_name(g, t)), text)
+            for t, text in zip(result.trajectories, texts)
         ]
         try:
             os.makedirs(args.trajectories, exist_ok=True)

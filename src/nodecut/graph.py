@@ -43,6 +43,19 @@ WEIGHT_RANGE = (1e-100, 1e100)
 ROOT = "C0"
 
 
+def plain_sum(values) -> float:
+    """Float sum, left to right with one rounding per addition.
+
+    The += order of psi's k_in and in_w and of linegraph's phi. Since Python
+    3.12 the builtin sum() of floats is compensated, so it can differ from
+    those sums in the last bit, and reports would depend on the version.
+    """
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 def label_sort_key(label: str):
     """Sort key ordering numeric labels numerically, everything else lexically."""
     try:
@@ -129,7 +142,7 @@ class Graph:
         self.m = len(ends)
         self.labels = tuple(str(x) for x in labels)
         self.adj = tuple(tuple(sorted(lst)) for lst in nbrs)
-        self.degrees = tuple(sum(w for _, w, _ in lst) for lst in self.adj)
+        self.degrees = tuple(plain_sum(w for _, w, _ in lst) for lst in self.adj)
         self.link_ends = tuple(ends)
         self.link_weights = tuple(weights)
         self._index = {lab: i for i, lab in enumerate(self.labels)}

@@ -12,10 +12,12 @@ seed's whole component is covered:
   escape   at a local minimum (recorded), add the neighbor with the smallest
            cut increase, repeating until some addition is downhill again.
 
-Every step scores all candidate moves through SubgraphState.add_scores() and
-remove_scores(). The state caches each node's sigma delta, so after a move
-only the nodes within two hops of the moved node are rescored; every score is
-the same float a fresh psi_after_add / psi_after_remove call gives.
+Every addition and every downhill test reads SubgraphState.best_add(), one
+unsorted pass over the frontier that returns the best score and its tie set;
+a revisit's ranked escape sorts add_scores(), and pruning remove_scores().
+The state caches each node's sigma delta, so after a move only the nodes
+within two hops of the moved node are rescored; every score is the same
+float a fresh psi_after_add / psi_after_remove call gives.
 
 Ties. Under the deterministic policy an addition takes the smallest node
 label among the candidates within MOVE_TOL of the best, while removals are
@@ -34,13 +36,14 @@ state depends on the settled node set K alone, so under the deterministic
 policy the phase that follows (the escape and the descent and pruning into
 the next settled set) depends only on K and the escape rank, the run's
 earlier visit count for K. run_all_seeds therefore shares one dict per
-sweep (per worker under jobs > 1) mapping (K, rank) to that phase: its step
-rows without step numbers, the next settled set, its exact psi and whether
-its frontier is empty. A run replays a cached phase with its own step numbers
-and computes and stores a missing one, first rebuilding the state at K if a
-replayed phase left it elsewhere. Visits, records and the phase budget are
-kept per run either way, so a cached trajectory equals the uncached one,
-float for float.
+sweep mapping (K, rank) to that phase: its step rows without step numbers,
+the next settled set, its exact psi and whether its frontier is empty. Under
+jobs > 1 each pool worker holds a copy, and the workers send one another the
+phases they compute between rounds of seed links. A run replays a cached
+phase with its own step numbers and computes and stores a missing one,
+first rebuilding the state at K if a replayed phase left it elsewhere.
+Visits, records and the phase budget are kept per run either way, so a
+cached trajectory equals the uncached one, float for float.
 
 The random policy draws from the run's generator only to break a tie of two
 or more candidates, and ties are a function of the state. So a phase that
@@ -52,8 +55,10 @@ that reaches it computes it with its own generator.
 
 from __future__ import annotations
 
+import os
 import random
 from collections import namedtuple
+from itertools import islice
 
 from .graph import Community, Graph, Record, boundary_nodes, induced_links, is_connected, minimum_sort_key
 from .psi import MOVE_TOL, SubgraphState, psi
@@ -141,26 +146,19 @@ class DetectionResult(Record):
         self.histogram = {} if histogram is None else histogram
 
 
-def _select(
-    g: Graph, cands: list[tuple[float, int]], rng: random.Random | None, rank: int = 0
-) -> tuple[float, int]:
-    """Pick a (delta, node) candidate from a pre-scored list.
-
-    rank 0 takes the best, ties within MOVE_TOL broken per policy; a higher
-    rank takes that place in the (delta, label) order, clamped to the last.
-    """
-    if rank:
-        ordered = sorted(cands, key=lambda c: (c[0], g.rank[c[1]]))
-        return ordered[min(rank, len(ordered) - 1)]
-    best = min(cands)[0]
-    tied = [c for c in cands if c[0] <= best + MOVE_TOL]
+def _select(g: Graph, tied: list[int], rng: random.Random | None) -> int:
+    """The best addition among the tie set of best_add (node order): a draw
+    from the run's generator when it has two or more, else the smallest label."""
     if rng is not None and len(tied) > 1:
         return tied[rng.randrange(len(tied))]
-    return min(tied, key=lambda c: g.rank[c[1]])
+    return min(tied, key=g.rank.__getitem__)
 
 
-def _downhill(cands: list[tuple[float, int]]) -> bool:
-    return bool(cands) and min(cands)[0] < -MOVE_TOL
+def _ranked(state: SubgraphState, rank: int) -> int:
+    """The addition at place rank of the (delta, label) order, clamped to the last."""
+    rank_of = state.g.rank
+    ordered = sorted(state.add_scores(), key=lambda c: (c[0], rank_of[c[1]]))
+    return ordered[min(rank, len(ordered) - 1)][1]
 
 
 def _removal_order(state: SubgraphState, rng: random.Random | None) -> list[tuple[float, int]]:
@@ -170,17 +168,17 @@ def _removal_order(state: SubgraphState, rng: random.Random | None) -> list[tupl
         cands.sort(key=lambda c: (c[0], state.g.rank[c[1]]))
         return cands
     cands.sort(key=lambda c: c[0])  # stable: keeps index order inside tie groups
-    ordered: list[tuple[float, int]] = []
     i = 0
     while i < len(cands):
-        j = i
+        j = i + 1
         while j < len(cands) and cands[j][0] <= cands[i][0] + MOVE_TOL:
             j += 1
-        group = cands[i:j]
-        rng.shuffle(group)
-        ordered.extend(group)
+        if j - i > 1:  # shuffling one candidate draws nothing
+            group = cands[i:j]
+            rng.shuffle(group)
+            cands[i:j] = group
         i = j
-    return ordered
+    return cands
 
 
 def prune(
@@ -241,27 +239,27 @@ def run_from_seed(
     def log(action, node):
         steps.append((len(steps) + 1, action, node, state.psi, len(state.members)))
 
-    def add(cands, rank=0):
-        _, x = _select(g, cands, rng, rank)
+    def add(x):
+        """Add x and score the additions after it, as best_add's (delta, tie set)."""
         state.apply_add(x)
         log("add", x)
-        return state.add_scores()
+        return state.best_add()
 
-    def settle(cands) -> tuple[frozenset[int], float, bool]:
+    def settle(best) -> tuple[frozenset[int], float, bool]:
         """Descend, prune, re-descend; return the settled set, its exact psi
         and whether its frontier is empty."""
         while True:
-            while _downhill(cands):
-                cands = add(cands)
+            while best[0] < -MOVE_TOL:
+                best = add(_select(g, best[1], rng))
             if not prune(state, rng, on_move=log):
                 break
-            cands = state.add_scores()
-            if not _downhill(cands):
+            best = state.best_add()
+            if not best[0] < -MOVE_TOL:
                 break
         exact = state.recompute()  # recorded values never carry incremental drift
         return state.nodes(), exact, not state.frontier
 
-    key, exact, done = settle(state.add_scores())
+    key, exact, done = settle(state.best_add())
     failure = None
     while True:
         seen = visits.get(key, 0)
@@ -285,10 +283,10 @@ def run_from_seed(
         start = len(steps)
         before = rng.getstate() if rng is not None else None
         # climb out of the hollow, then fall into the next one
-        cands = add(state.add_scores(), rank=seen)
-        while cands and not _downhill(cands):
-            cands = add(cands)
-        settled = settle(cands)
+        best = add(_ranked(state, seen) if seen else _select(g, state.best_add()[1], rng))
+        while best[1] and not best[0] < -MOVE_TOL:
+            best = add(_select(g, best[1], rng))
+        settled = settle(best)
         # a phase that broke a tie with a draw may go another way in another run
         if cache is not None and (rng is None or rng.getstate() == before):
             cache[key, seen] = ([row[1:] for row in steps[start:]], *settled)
@@ -314,8 +312,18 @@ def _init_worker(g: Graph, policy: TieBreakPolicy):
     _WORKER["cache"] = {}
 
 
-def _run_link(link_id: int) -> Trajectory:
-    return run_from_seed(_WORKER["g"], link_id, _WORKER["policy"], _WORKER["cache"])
+def _run_links(links: range, learned: list) -> tuple[int, list[Trajectory], list]:
+    """Run a block of seed links in a pool worker.
+
+    Merges the phases other workers computed (learned) into this worker's
+    cache first. Returns the worker's pid, the block's trajectories and the
+    phases the block computed.
+    """
+    cache = _WORKER["cache"]
+    cache.update(learned)
+    before = len(cache)
+    trajectories = [run_from_seed(_WORKER["g"], lid, _WORKER["policy"], cache) for lid in links]
+    return os.getpid(), trajectories, list(islice(cache.items(), before, None))
 
 
 def run_all_seeds(
@@ -328,23 +336,41 @@ def run_all_seeds(
     ground state is never a community. On a disconnected graph each run
     stays inside its seed's component. Result order and content do not
     depend on jobs.
+
+    With jobs > 1 the links go to the pool in rounds of one contiguous
+    block per worker. Each block returns the phases it computed, and every
+    block of the next round carries those its worker may lack, so a phase
+    is computed again only by blocks of the same round.
     """
     policy = policy or TieBreakPolicy()
     # the pool starts every worker it is given, so never more than there are seeds
     workers = min(jobs, g.m)
-    if workers > 1:
-        # imported here: concurrent.futures costs every --jobs 1 process its start-up
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(g, policy)
-        ) as pool:
-            trajectories = list(
-                pool.map(_run_link, range(g.m), chunksize=max(1, g.m // (4 * workers)))
-            )
-    else:
+    if workers == 1:
         cache: dict[tuple[frozenset[int], int], _Phase] = {}
-        trajectories = [run_from_seed(g, lid, policy, cache) for lid in range(g.m)]
+        return merge_trajectories(g, [run_from_seed(g, lid, policy, cache) for lid in range(g.m)])
+    # imported here: concurrent.futures costs every --jobs 1 process its start-up
+    from concurrent.futures import ProcessPoolExecutor
+
+    size = max(1, g.m // (8 * workers))
+    blocks = [range(start, min(start + size, g.m)) for start in range(0, g.m, size)]
+    trajectories: list[Trajectory] = []
+    learned: list = []  # phases the workers returned, in arrival order
+    known: dict[int, int] = {}  # worker pid -> length of the prefix of learned sent to it
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(g, policy)) as pool:
+        for first in range(0, len(blocks), workers):
+            # a worker may take two blocks of a round and another none, so
+            # send what the least informed worker lacks
+            start = min(known.values()) if len(known) == workers else 0
+            sent = len(learned)
+            futures = [
+                pool.submit(_run_links, block, learned[start:])
+                for block in blocks[first : first + workers]
+            ]
+            for future in futures:
+                pid, runs, computed = future.result()
+                known[pid] = sent
+                trajectories += runs
+                learned += computed
     return merge_trajectories(g, trajectories)
 
 

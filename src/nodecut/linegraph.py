@@ -14,7 +14,7 @@ between the line-graph cut and the normalised node cut.
 from __future__ import annotations
 
 from .errors import WeightedUnsupported, ZeroInternalDegree
-from .graph import Graph, induced_links
+from .graph import Graph, induced_links, plain_sum
 from .psi import psi
 
 __all__ = [
@@ -38,7 +38,7 @@ class LineGraph:
     def __init__(self, m: int, rows: list[dict[int, float]]):
         self.m = m
         self.rows = rows
-        self.degree = tuple(sum(r.values()) for r in rows)
+        self.degree = tuple(plain_sum(r.values()) for r in rows)
 
     def entries(self):
         """Yield (k, l, weight) once per unordered pair, k <= l."""

@@ -180,6 +180,34 @@ class SubgraphState:
             scores.append(((after / (k_in + 2.0 * in_w[x]) if after > 0.0 else 0.0) - value, x))
         return scores
 
+    def best_add(self) -> tuple[float, list[int]]:
+        """Smallest psi change over the frontier, and the nodes within MOVE_TOL of it in node order.
+
+        One unsorted pass: each change is the float add_scores gives, and
+        only stale deltas are recomputed. (inf, []) when the frontier is empty.
+        """
+        delta, in_w, sigma, k_in = self.delta, self.in_w, self.sigma, self.k_in
+        members, adj, degrees = self.members, self.g.adj, self.g.degrees
+        value = self.psi
+        best = bound = float("inf")
+        tied = []
+        for x in self.frontier:
+            d = delta[x]
+            if d is None:  # _add_delta, inlined: most steps recompute several
+                d = 0.0
+                for j, w, _ in adj[x]:
+                    if j in members:
+                        d += w * (2.0 * (degrees[j] - in_w[j]) - w) / degrees[j]
+                d = delta[x] = d - in_w[x] * in_w[x] / degrees[x]
+            after = sigma + d
+            change = (after / (k_in + 2.0 * in_w[x]) if after > 0.0 else 0.0) - value
+            if change <= bound:
+                if change < best:
+                    best, bound = change, change + MOVE_TOL
+                    tied = [c for c in tied if c[0] <= bound]
+                tied.append((change, x))
+        return best, sorted(x for _, x in tied)
+
     def remove_scores(self) -> list[tuple[float, int]]:
         """(psi change if removed, node) for every member whose removal keeps an
         internal link, in node order.

@@ -24,7 +24,7 @@ __all__ = [
     "link_label_pairs",
     "trajectory_rows",
     "trajectory_file_name",
-    "trajectory_csv",
+    "trajectory_csvs",
 ]
 
 REPORT_VERSION = 1
@@ -268,12 +268,31 @@ def trajectory_file_name(g: Graph, traj: Trajectory) -> str:
     return f"seed-{traj.link_id:04d}-{u}-{v}.csv"
 
 
-def trajectory_csv(g: Graph, traj: Trajectory) -> str:
-    """CSV text of one run: a header row, then trajectory_rows; lines end in CRLF."""
+def trajectory_csvs(g: Graph, trajectories) -> list[str]:
+    """CSV text of each run: a header row, then its trajectory_rows; lines end in CRLF.
+
+    Each distinct row after its step number, and each label's field, is
+    rendered once across the runs.
+    """
     import csv  # only detect --trajectories writes CSV
 
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["step", "action", "node", "psi", "size"])
-    writer.writerows(trajectory_rows(g, traj))
-    return buf.getvalue()
+    def field(label: str) -> str:
+        buf = io.StringIO()
+        csv.writer(buf).writerow(["", label])  # the module's quoting, as in a five-field row
+        return buf.getvalue()[1:-2]
+
+    fields = [field(label) for label in g.labels]
+    suffixes: dict[tuple, str] = {}
+    texts = []
+    for traj in trajectories:
+        parts = ["step,action,node,psi,size\r\n"]
+        for row in traj.steps:
+            key = row[1:]
+            suffix = suffixes.get(key)
+            if suffix is None:
+                action, node, value, size = key
+                label = "" if node is None else fields[node]
+                suffix = suffixes[key] = f",{action},{label},{value:.12g},{size}\r\n"
+            parts.append(f"{row[0]}{suffix}")
+        texts.append("".join(parts))
+    return texts

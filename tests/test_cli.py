@@ -647,10 +647,10 @@ def test_detect_pool_has_no_more_workers_than_seeds(tmp_path, capsys, monkeypatc
     """--jobs above the link count starts one worker per link, not --jobs workers."""
     from nodecut import greedy
 
-    started = []
+    started, blocks = [], []
 
     class SerialPool:
-        """Stands in for ProcessPoolExecutor: records its size, maps in this process."""
+        """Stands in for ProcessPoolExecutor: records its size and blocks, runs them in this process."""
 
         def __init__(self, max_workers, initializer, initargs):
             started.append(max_workers)
@@ -662,9 +662,11 @@ def test_detect_pool_has_no_more_workers_than_seeds(tmp_path, capsys, monkeypatc
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, iterable, chunksize=1):
-            started.append(chunksize)
-            return map(fn, iterable)
+        def submit(self, fn, links, learned):
+            blocks.append(links)
+            future = concurrent.futures.Future()
+            future.set_result(fn(links, learned))
+            return future
 
     # run_all_seeds imports the pool class from concurrent.futures when it needs one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
@@ -673,7 +675,8 @@ def test_detect_pool_has_no_more_workers_than_seeds(tmp_path, capsys, monkeypatc
     assert cli.main(["detect", "--dataset", "karate", "--out", str(serial)]) == 0
     assert started == []
     assert cli.main(["detect", "--dataset", "karate", "--jobs", "500", "--out", str(pooled)]) == 0
-    assert started == [78, 1]  # 78 links, so 78 workers and one link per task
+    assert started == [78]  # 78 links, so 78 workers ...
+    assert blocks == [range(i, i + 1) for i in range(78)]  # ... and one link per block
     assert pooled.read_bytes() == serial.read_bytes()
 
 

@@ -1,5 +1,6 @@
 """Greedy descent runs: move selection, pruning, escapes, and full sweeps."""
 
+import multiprocessing
 import pickle
 import random
 
@@ -23,7 +24,7 @@ from nodecut import (
     run_from_seed,
     verify_local_minimum,
 )
-from nodecut.greedy import _select
+from nodecut.greedy import _ranked, _select
 from nodecut.psi import MOVE_TOL
 from conftest import (
     KARATE_NODES,
@@ -54,10 +55,28 @@ def brute_best_addition(g, members):
     return best
 
 
+def reference_select(g, cands, rng, rank=0):
+    """The addition a run makes, picked from a full add_scores list.
+
+    rank 0 takes the best, ties within MOVE_TOL drawn from in node order
+    under the random policy and broken by label otherwise; a higher rank
+    takes that place in the (delta, label) order, clamped to the last.
+    """
+    if rank:
+        ordered = sorted(cands, key=lambda c: (c[0], g.rank[c[1]]))
+        return ordered[min(rank, len(ordered) - 1)]
+    best = min(cands)[0]
+    tied = [c for c in cands if c[0] <= best + MOVE_TOL]
+    if rng is not None and len(tied) > 1:
+        return tied[rng.randrange(len(tied))]
+    return min(tied, key=lambda c: g.rank[c[1]])
+
+
 def test_best_addition_path():
     g = load_edge_list("1 2\n2 3")
     s = SubgraphState(g, indices_of(g, {"1", "2"}))
-    delta, node = _select(g, s.add_scores(), None)
+    delta, tied = s.best_add()
+    node = _select(g, tied, None)
     assert g.labels[node] == "3"
     assert delta == pytest.approx(-0.25, abs=1e-12)
 
@@ -65,14 +84,16 @@ def test_best_addition_path():
 def test_best_addition_k4_tie_breaks_by_label():
     g = load_edge_list(K4)
     s = SubgraphState(g, indices_of(g, {"1", "2"}))
-    _, node = _select(g, s.add_scores(), None)
-    assert g.labels[node] == "3"
+    _, tied = s.best_add()
+    assert labels_of(g, tied) == {"3", "4"}
+    assert g.labels[_select(g, tied, None)] == "3"
 
 
 def test_best_addition_karate_33_34_matches_brute_force(karate):
     members = set(indices_of(karate, {"33", "34"}))
     s = SubgraphState(karate, members)
-    delta, node = _select(karate, s.add_scores(), None)
+    delta, tied = s.best_add()
+    node = _select(karate, tied, None)
     expect_node, expect_delta = brute_best_addition(karate, members)
     assert node == expect_node
     assert delta == pytest.approx(expect_delta, abs=1e-12)
@@ -108,7 +129,7 @@ def test_escape_step_adds_min_increase(karate):
     s = SubgraphState(karate, members)
     value = s.psi
     cands = {x: s.psi_after_add(x) for x in s.frontier}
-    _, node = _select(karate, s.add_scores(), None)
+    node = _select(karate, s.best_add()[1], None)
     s.apply_add(node)
     assert s.members == members | {node}
     assert cands[node] >= value
@@ -119,8 +140,8 @@ def test_escape_step_single_candidate(karate):
     """A revisit's escape rank clamps to the last candidate."""
     x = karate.index_of("17")
     s = SubgraphState(karate, set(range(karate.n)) - {x})
-    for rank in (0, 3):
-        assert _select(karate, s.add_scores(), None, rank)[1] == x
+    assert _select(karate, s.best_add()[1], None) == x
+    assert _ranked(s, 3) == x
 
 
 def seed_minima_names(karate, u, v, policy=None):
@@ -241,6 +262,36 @@ def test_jobs_do_not_change_results(karate):
         ]
 
 
+def test_pool_workers_share_the_phases_they_compute(monkeypatch):
+    """Workers forward the phases they compute to one another, so a pool
+    computes few more phases than one process does; a pool with more
+    workers than cores still gives the serial trajectories.
+
+    Every computed phase, and every run's first descent, ends in one
+    recompute(); the counter sits in shared memory that forked workers
+    inherit along with the patched method.
+    """
+    counter = multiprocessing.Value("i", 0)
+    recompute = SubgraphState.recompute
+
+    def counted(state):
+        with counter.get_lock():
+            counter.value += 1
+        return recompute(state)
+
+    monkeypatch.setattr(SubgraphState, "recompute", counted)
+    g = random_connected_graph(random.Random(3), 60, 120)
+    computed, steps = {}, {}
+    for jobs in (1, 2, 4):
+        counter.value = 0
+        steps[jobs] = [t.steps for t in run_all_seeds(g, jobs=jobs).trajectories]
+        computed[jobs] = counter.value
+    assert steps[2] == steps[4] == steps[1]
+    # every phase a run reaches is computed at least once, whatever the pool
+    assert computed[1] <= computed[2] <= 1.15 * computed[1]
+    assert computed[1] <= computed[4] <= 1.25 * computed[1]
+
+
 def test_disconnected_runs_confined_to_components():
     g = load_edge_list("1 2\n2 3\n4 5\n5 6\n6 4")
     res = run_all_seeds(g)
@@ -328,7 +379,7 @@ def fresh_phase(g, key, rank, rng):
         return bool(scores) and min(scores)[0] < -MOVE_TOL
 
     def add(rank=0):
-        _, x = _select(g, state.add_scores(), rng, rank)
+        _, x = reference_select(g, state.add_scores(), rng, rank)
         state.apply_add(x)
         log("add", x)
 
@@ -379,16 +430,36 @@ def test_phases_that_draw_are_recomputed_by_every_run(karate):
 def test_each_state_is_scored_once(karate, monkeypatch, policy):
     """No node's sigma delta is computed twice without a move or recompute in
     between, and cached deltas make most scores free.
+
+    best_add recomputes add deltas inline: each stale frontier delta it fills
+    counts as one computation, and a cached one it replaces as a repeat.
     """
     computed, repeats, evaluations, scores = set(), [], [], []
 
+    def count(kind, i):
+        if (kind, i) in computed:
+            repeats.append((kind, karate.labels[i]))
+        computed.add((kind, i))
+        evaluations.append(i)
+
     def counted(kind, method):
         def wrapper(state, i):
-            if (kind, i) in computed:
-                repeats.append((kind, karate.labels[i]))
-            computed.add((kind, i))
-            evaluations.append(i)
+            count(kind, i)
             return method(state, i)
+
+        return wrapper
+
+    def best_add(method):
+        def wrapper(state):
+            before = {i: state.delta[i] for i in state.frontier}
+            best, tied = method(state)
+            for i, d in before.items():
+                if d is None:
+                    count("add", i)
+                elif state.delta[i] is not d:  # a cached delta computed again
+                    repeats.append(("add", karate.labels[i]))
+            scores.extend(before)
+            return best, tied
 
         return wrapper
 
@@ -411,6 +482,7 @@ def test_each_state_is_scored_once(karate, monkeypatch, policy):
     monkeypatch.setattr(SubgraphState, "_remove_delta", counted("remove", SubgraphState._remove_delta))
     for name in ("add_scores", "remove_scores"):
         monkeypatch.setattr(SubgraphState, name, listed(getattr(SubgraphState, name)))
+    monkeypatch.setattr(SubgraphState, "best_add", best_add(SubgraphState.best_add))
     for name in ("apply_add", "apply_remove", "recompute"):
         monkeypatch.setattr(SubgraphState, name, clearing(getattr(SubgraphState, name)))
     for link_id in range(karate.m):
@@ -424,6 +496,14 @@ def test_each_state_is_scored_once(karate, monkeypatch, policy):
 def _reference_add_scores(state):
     value = state.psi
     return [(state.psi_after_add(x) - value, x) for x in sorted(state.frontier)]
+
+
+def _reference_best_add(state):
+    scores = _reference_add_scores(state)
+    if not scores:
+        return float("inf"), []
+    best = min(scores)[0]
+    return best, [x for delta, x in scores if delta <= best + MOVE_TOL]
 
 
 def _reference_remove_scores(state):
@@ -440,12 +520,14 @@ def _reference_remove_scores(state):
 )
 def test_cached_scoring_matches_a_reference_scorer(monkeypatch, policy):
     """Sweeps scored from cached deltas equal, float for float, sweeps that
-    score every candidate afresh through the public psi_after_* methods."""
+    score every candidate afresh through the public psi_after_* methods, on
+    every step: best additions, ranked escapes and removals."""
     rng = random.Random(23)
     graphs = [random_connected_graph(rng, n, n) for n in (12, 18, 24)]
     graphs += [random_weighted_graph(rng, n, n) for n in (12, 18, 24)]
     cached = [run_all_seeds(g, policy) for g in graphs]
     monkeypatch.setattr(SubgraphState, "add_scores", _reference_add_scores)
+    monkeypatch.setattr(SubgraphState, "best_add", _reference_best_add)
     monkeypatch.setattr(SubgraphState, "remove_scores", _reference_remove_scores)
     for g, got in zip(graphs, cached):
         want = run_all_seeds(g, policy)

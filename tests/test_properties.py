@@ -2,6 +2,7 @@
 reports, and hierarchy JSON byte for byte."""
 
 import contextlib
+import csv
 import io
 import os
 import random
@@ -23,7 +24,8 @@ from nodecut.report import (
     link_label_pairs,
     report_graph,
     sorted_labels,
-    trajectory_csv,
+    trajectory_csvs,
+    trajectory_rows,
 )
 from conftest import random_connected_graph, random_weighted_graph
 
@@ -123,7 +125,27 @@ def detect_outputs(g, policy, jobs=1):
     """Report text and every trajectory CSV text of an all-seeds run."""
     result = run_all_seeds(g, policy, jobs=jobs)
     report = dumps_report(build_report(g, result, policy, "g.edges", trajectory_dir="traj"))
-    return report, [trajectory_csv(g, t) for t in result.trajectories]
+    return report, trajectory_csvs(g, result.trajectories)
+
+
+@settings(max_examples=20)
+@given(
+    st.lists(st.text(alphabet='a,"\' \r\n;é', min_size=1, max_size=4), min_size=6, max_size=6, unique=True),
+    st.integers(0, 2**32 - 1),
+)
+def test_trajectory_csvs_quote_like_the_csv_module(labels, graph_seed):
+    """Rows rendered once and reused give the csv module's text of every run."""
+    shape = random_connected_graph(random.Random(graph_seed), len(labels), 4)
+    g = Graph(labels, [(u, v, 1.0) for u, v in shape.link_ends])
+    result = run_all_seeds(g, TieBreakPolicy("random", graph_seed))
+    expected = []
+    for traj in result.trajectories:
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["step", "action", "node", "psi", "size"])
+        writer.writerows(trajectory_rows(g, traj))
+        expected.append(buf.getvalue())
+    assert trajectory_csvs(g, result.trajectories) == expected
 
 
 @settings(max_examples=30)

@@ -1,5 +1,7 @@
 """Normalised node cut: from-scratch values and incremental state updates."""
 
+import builtins
+import math
 import random
 
 import pytest
@@ -13,6 +15,7 @@ from nodecut import (
     psi,
     sigma_and_k_in,
 )
+from nodecut.psi import MOVE_TOL
 from conftest import (
     KARATE_NODES,
     indices_of,
@@ -224,9 +227,15 @@ def test_cached_deltas_match_fresh_random_walk(weighted):
         )
         u, v = g.link_ends[rng.randrange(g.m)]
         s = SubgraphState(g, {u, v})
-        for _ in range(300):
+        for step in range(300):
             value = s.psi
+            # best_add and add_scores take turns to recompute the stale add deltas
+            best_first = s.best_add() if step % 2 else None
             adds = s.add_scores()
+            best = min(adds)[0] if adds else float("inf")
+            tied = [x for d, x in adds if d <= best + MOVE_TOL]  # in node order
+            assert s.best_add() == (best, tied)
+            assert best_first in (None, (best, tied))
             removes = s.remove_scores()
             assert adds == [(s.psi_after_add(x) - value, x) for x in sorted(s.frontier)]
             assert removes == [
@@ -245,6 +254,28 @@ def test_cached_deltas_match_fresh_random_walk(weighted):
             elif removes:
                 s.apply_remove(rng.choice(removes)[1])
             _check_cached_deltas(s)  # what survived the move is still exact
+
+
+def test_whole_graph_cut_is_zero_whatever_sum_the_interpreter_has(monkeypatch):
+    """Degrees add up like in_w does, so the whole graph keeps in_w == degrees
+    and psi exactly 0.0 even where builtin sum() is compensated (Python 3.12+)."""
+    builtin_sum = builtins.sum
+
+    def compensated_sum(values, start=0):
+        values = list(values)
+        if values and all(isinstance(v, float) for v in values):
+            return start + math.fsum(values)
+        return builtin_sum(values, start)
+
+    rng = random.Random(4)
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "sum", compensated_sum)
+        g = random_weighted_graph(rng, 20, 30)
+    assert any(math.fsum(w for _, w, _ in adj) != k for adj, k in zip(g.adj, g.degrees))
+    whole = SubgraphState(g, range(g.n))
+    assert whole.in_w == list(g.degrees)
+    assert whole.psi == 0.0
+    assert sigma_and_k_in(g, range(g.n))[0] == 0.0
 
 
 def test_recompute_resets_drift(karate):
