@@ -21,8 +21,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "datasets": "KARATE_EDGE_LIST builtin_graph karate_graph",
     "errors": (
-        "NodeCutError EdgeListError ZeroInternalDegree NotANeighbor NotAMember"
-        " WeightedUnsupported TooLarge ReportError"
+        "NodeCutError EdgeListError ZeroInternalDegree NotANeighbor NotAMember TooLarge"
+        " ReportError"
     ),
     "graph": (
         "Graph Community MAX_WEIGHT_RATIO WEIGHT_RANGE load_edge_list edge_list_text"

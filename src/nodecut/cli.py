@@ -5,9 +5,8 @@ Subcommands: detect, oracle, verify, hierarchy, linegraph.
 Exit codes:
     0  success
     1  oracle --compare found communities outside the exact-minima set
-    2  usage, input, report, or output errors (includes weighted graphs
-       where a unit-weight graph is required, input that is not UTF-8, and
-       an output file that cannot be written)
+    2  usage, input, report, or output errors (includes input that is not
+       UTF-8 and an output file that cannot be written)
     3  disconnected input without --allow-disconnected
     4  graph exceeds the oracle enumeration cap and --force was not given
     5  a community in the report fails the local-minimum certificate
@@ -33,14 +32,8 @@ import time
 from collections.abc import Iterable
 
 from .datasets import DATASETS, builtin_graph
-from .errors import (
-    EdgeListError,
-    NodeCutError,
-    ReportError,
-    TooLarge,
-    WeightedUnsupported,
-)
-from .graph import Graph, induced_links, is_connected, load_edge_list
+from .errors import EdgeListError, NodeCutError, ReportError, TooLarge
+from .graph import Graph, dot_text, induced_links, is_connected, load_edge_list
 
 EQUIVALENCE_TOL = 1e-10
 
@@ -291,8 +284,6 @@ def cmd_verify(args) -> int:
     g, _ = _load_graph(args)
     communities, names = communities_from_report(g, load_report(args.report))
     run_equivalence = args.equivalence or g.unit_weighted
-    if args.equivalence and not g.unit_weighted:
-        _fail(2, "weighted-unsupported", "line-graph equivalence is defined for unit weights only")
     lg = build_line_graph(g) if run_equivalence else None
     checks = []
     certificate_ok = True
@@ -365,10 +356,7 @@ def cmd_linegraph(args) -> int:
     from .linegraph import build_line_graph
 
     g, source = _load_graph(args)
-    try:
-        lg = build_line_graph(g)
-    except WeightedUnsupported as exc:
-        _fail(2, "weighted-unsupported", str(exc))
+    lg = build_line_graph(g)
     lines = []
     if args.format == "edges":
         lines.append(f"# weighted line graph of {source}: {g.m} vertices (one per link)")
@@ -381,7 +369,7 @@ def cmd_linegraph(args) -> int:
         lines.append("graph linegraph {")
         for lid in range(g.m):
             u, v = g.link_label_pair(lid)
-            lines.append(f'  "{lid}" [label="{u}-{v}"];')
+            lines.append(f'  "{lid}" [label="{dot_text(u)}-{dot_text(v)}"];')
         for k, l, w in lg.entries():
             lines.append(f'  "{k}" -- "{l}" [weight={w:.12g}];')
         lines.append("}")
@@ -424,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--equivalence",
         action="store_true",
-        help="require the line-graph equivalence check (refused on weighted graphs)",
+        help="run the line-graph equivalence check on weighted graphs too (it always runs on unit weights)",
     )
     p.set_defaults(func=cmd_verify)
 

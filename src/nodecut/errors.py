@@ -27,10 +27,6 @@ class NotAMember(NodeCutError):
     """Node is not a member of the current subgraph."""
 
 
-class WeightedUnsupported(NodeCutError):
-    """Operation is defined for unit-weight graphs only."""
-
-
 class TooLarge(NodeCutError):
     """Graph exceeds the exhaustive-enumeration cap."""
 

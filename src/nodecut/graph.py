@@ -32,6 +32,7 @@ __all__ = [
     "connected_components",
     "label_sort_key",
     "minimum_sort_key",
+    "dot_text",
 ]
 
 
@@ -67,6 +68,11 @@ def label_sort_key(label: str):
 def minimum_sort_key(g: Graph, value: float, nodes) -> tuple:
     """Order of detected and exact minima alike: psi, larger sets first, then labels."""
     return (value, -len(nodes), sorted(g.rank[i] for i in nodes))
+
+
+def dot_text(text: str) -> str:
+    """text inside a DOT double-quoted string: backslash and quote escaped."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 class Graph:

@@ -25,7 +25,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 
-from .graph import ROOT, Community, Graph, Record
+from .graph import ROOT, Community, Graph, Record, dot_text
 
 __all__ = [
     "OverlapRelation",
@@ -126,19 +126,14 @@ def build_polyhierarchy(
     return PolyhierarchyDag(names=[ROOT, *names], node_sets=node_sets, edges=edges)
 
 
-def _dot_text(text: str) -> str:
-    """text inside a DOT double-quoted string: backslash and quote escaped."""
-    return text.replace("\\", "\\\\").replace('"', '\\"')
-
-
 def dag_to_dot(dag: PolyhierarchyDag) -> str:
     """Graphviz DOT text for the containment DAG."""
     lines = ["digraph communities {", "  rankdir=TB;", "  node [shape=box];"]
     for name in dag.names:
-        quoted = _dot_text(name)
+        quoted = dot_text(name)
         lines.append(f'  "{quoted}" [label="{quoted}\\n{len(dag.node_sets[name])} nodes"];')
     for parent, child in dag.edges:
-        lines.append(f'  "{_dot_text(parent)}" -> "{_dot_text(child)}";')
+        lines.append(f'  "{dot_text(parent)}" -> "{dot_text(child)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

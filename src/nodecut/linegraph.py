@@ -1,19 +1,25 @@
-"""Weighted line graph of a unit-weight graph and the cut equivalence check.
+"""Weighted line graph and the cut equivalence check.
 
-Links of the original graph become vertices. Two links sharing endpoint i
-contribute 1/k_i to their connection, so the line-graph adjacency is
+Links of the original graph become vertices. Two links k and l sharing
+endpoint i contribute w_k * w_l / k_i to their connection (Evans and
+Lambiotte, "Line graphs of weighted networks for overlapping communities",
+Eur. Phys. J. B 77, 265, 2010), so the line-graph adjacency is
 
-    E[k, l] = sum over nodes i of B[i, k] * B[i, l] / k_i
+    E[k, l] = sum over nodes i of B[i, k] * B[i, l] * w_k * w_l / k_i
 
-with B the n x m node-link incidence matrix. Diagonal entries E[k, k] =
-1/k_i + 1/k_j for link k = (i, j) are kept: the conductance sums below
-range over all pairs, and dropping the diagonal breaks the equivalence
-between the line-graph cut and the normalised node cut.
+with B the n x m node-link incidence matrix and k_i the weighted degree of
+i. Diagonal entries E[k, k] = w_k**2 / k_i + w_k**2 / k_j for link k = (i, j)
+are kept: the conductance sums below range over all pairs, and dropping the
+diagonal breaks the equivalence between the line-graph cut and the
+normalised node cut. The line-graph degree of link k is 2 * w_k, so the
+maximal link set of a node set C has total degree k_in(C) and cut
+sum over members i of k_i_in(C) * k_i_out(C) / k_i: phi(L(C)) = psi(C) for
+every weight. With unit weights each entry is 1/k_i per shared endpoint.
 """
 
 from __future__ import annotations
 
-from .errors import WeightedUnsupported, ZeroInternalDegree
+from .errors import ZeroInternalDegree
 from .graph import Graph, induced_links, plain_sum
 from .psi import psi
 
@@ -23,11 +29,6 @@ __all__ = [
     "phi",
     "check_equivalence",
 ]
-
-
-def _require_unit_weights(g: Graph):
-    if not g.unit_weighted:
-        raise WeightedUnsupported("line-graph construction is defined for unit link weights only")
 
 
 class LineGraph:
@@ -49,16 +50,15 @@ class LineGraph:
 
 
 def build_line_graph(g: Graph) -> LineGraph:
-    """Line-graph adjacency E with entries 1/k_i per shared endpoint, diagonal included."""
-    _require_unit_weights(g)
+    """Line-graph adjacency E with entries w_k * w_l / k_i per shared endpoint i, diagonal included."""
     rows: list[dict[int, float]] = [{} for _ in range(g.m)]
     for i in range(g.n):
-        inv = 1.0 / g.degrees[i]
-        incident = [lid for _, _, lid in g.adj[i]]
-        for k in incident:
+        k_i = g.degrees[i]
+        incident = [(lid, w) for _, w, lid in g.adj[i]]
+        for k, w_k in incident:
             row = rows[k]
-            for l in incident:
-                row[l] = row.get(l, 0.0) + inv
+            for l, w_l in incident:
+                row[l] = row.get(l, 0.0) + w_k * w_l / k_i
     return LineGraph(g.m, rows)
 
 
@@ -87,9 +87,8 @@ def check_equivalence(g: Graph, nodes, lg: LineGraph) -> float:
 
     The two sides are computed along independent paths (line-graph sums vs
     the direct degree formula); the result should be < 1e-10 for any
-    connected node set with an internal link on a unit-weight graph.
+    connected node set with an internal link, whatever the link weights.
     """
-    _require_unit_weights(g)
     links = induced_links(g, nodes)
     if not links:
         raise ZeroInternalDegree("node set has no internal links")

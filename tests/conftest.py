@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import settings
 
-from nodecut import Graph, karate_graph, run_all_seeds
+from nodecut import MAX_WEIGHT_RATIO, WEIGHT_RANGE, Graph, karate_graph, run_all_seeds
 from nodecut.datasets import KARATE_EDGE_LIST
 
 # Tier-1 must give the same result on every run: derive hypothesis examples
@@ -113,6 +113,26 @@ def random_weighted_graph(rng: random.Random, n: int, extra: int) -> Graph:
         (u, v, 0.25 + 2.0 * rng.random()) for (u, v) in g.link_ends
     ]
     return Graph(list(g.labels), links)
+
+
+# (lightest weight, spread) pairs near both ends of WEIGHT_RANGE, spreads up to MAX_WEIGHT_RATIO
+WEIGHT_EXTREMES = [
+    (lightest, spread)
+    for spread in (1e3, MAX_WEIGHT_RATIO)
+    for lightest in (WEIGHT_RANGE[0], WEIGHT_RANGE[1] / spread)
+]
+
+
+def spread_weighted_graph(rng: random.Random, n: int, extra: int, lightest: float, spread: float) -> Graph:
+    """random_connected_graph with weights lightest * spread**U(0, 1).
+
+    The first link weighs lightest and the last lightest * spread, so every
+    graph spans the whole spread.
+    """
+    g = random_connected_graph(rng, n, extra)
+    weights = [lightest * spread ** rng.random() for _ in range(g.m)]
+    weights[0], weights[-1] = lightest, lightest * spread
+    return Graph(list(g.labels), [(u, v, w) for (u, v), w in zip(g.link_ends, weights)])
 
 
 def brute_force_connected_sets(g: Graph) -> set[frozenset[int]]:

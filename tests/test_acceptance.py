@@ -42,10 +42,12 @@ from conftest import (
     KARATE_EDGE_PAIRS,
     KARATE_NODES,
     KARATE_SEED_COUNTS,
+    WEIGHT_EXTREMES,
     indices_of,
     labels_of,
     random_connected_graph,
     random_connected_subgraph,
+    spread_weighted_graph,
 )
 
 # Table of expected karate communities: (nodes, links, psi, seeds), keyed by
@@ -177,7 +179,7 @@ def test_criterion_04_named_trajectories(karate):
     assert minima_names("1", "2") == ["C1"]
 
 
-@criterion(5, "line-graph equivalence within 1e-10 on karate and random graphs")
+@criterion(5, "line-graph equivalence within 1e-10 on karate and random unit and weighted graphs")
 def test_criterion_05_equivalence(karate):
     lg = build_line_graph(karate)
     checked = 0
@@ -189,9 +191,14 @@ def test_criterion_05_equivalence(karate):
         c = random_connected_subgraph(rng, karate, rng.randrange(2, 30))
         assert check_equivalence(karate, c, lg) < 1e-10
         checked += 1
-    for trial in range(20):
+    # twenty unit-weight graphs, then two per weight extreme
+    for extreme in [None] * 20 + [e for e in WEIGHT_EXTREMES for _ in range(2)]:
         n = rng.randrange(6, 51)
-        g = random_connected_graph(rng, n, rng.randrange(0, n))
+        extra = rng.randrange(0, n)
+        if extreme is None:
+            g = random_connected_graph(rng, n, extra)
+        else:
+            g = spread_weighted_graph(rng, n, extra, *extreme)
         glg = build_line_graph(g)
         for _ in range(50):
             c = random_connected_subgraph(rng, g, rng.randrange(2, n + 1))

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from nodecut import MAX_WEIGHT_RATIO, cli
+from nodecut import MAX_WEIGHT_RATIO, WEIGHT_RANGE, cli
 from conftest import KARATE_NODES, OSCILLATING, PATH3, TWO_TRIANGLES
 
 
@@ -294,22 +294,25 @@ def test_verify_equivalence_exit_6_when_tolerance_impossible(karate_report, caps
     assert "error[equivalence]" in err
 
 
-def test_verify_weighted_equivalence_refused(tmp_path, capsys):
+def test_verify_weighted_equivalence_on_request(tmp_path, capsys):
+    """Weighted graphs get the line-graph check with --equivalence only, at every weight scale."""
     edges = tmp_path / "w.edges"
-    edges.write_text("1 2 2\n2 3 1\n1 3 1\n")
     report = tmp_path / "w.json"
-    assert cli.main(["detect", str(edges), "--weighted", "--out", str(report)]) == 0
-    code, out, _ = run_cli(
-        ["verify", str(edges), "--weighted", "--report", str(report)], capsys
-    )
-    assert code == 0  # equivalence auto-skipped on weighted graphs
-    assert json.loads(out)["equivalence_checked"] is False
-    code, _, err = run_cli(
-        ["verify", str(edges), "--weighted", "--report", str(report), "--equivalence"],
-        capsys,
-    )
-    assert code == 2
-    assert "error[weighted-unsupported]" in err
+    for scale in (1.0, WEIGHT_RANGE[0], WEIGHT_RANGE[1] / 4):
+        w = [scale * x for x in (2, 1, 1, 4, 1, 3, 1)]
+        edges.write_text("".join(f"{pair} {x!r}\n" for pair, x in zip(TWO_TRIANGLES.splitlines(), w)))
+        assert cli.main(["detect", str(edges), "--weighted", "--out", str(report)]) == 0
+        code, out, _ = run_cli(["verify", str(edges), "--weighted", "--report", str(report)], capsys)
+        assert code == 0  # equivalence skipped by default on weighted graphs
+        assert json.loads(out)["equivalence_checked"] is False
+        code, out, err = run_cli(
+            ["verify", str(edges), "--weighted", "--report", str(report), "--equivalence"], capsys
+        )
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["equivalence_checked"] is True
+        assert doc["checks"] and all(c["equivalence_residual"] is not None for c in doc["checks"])
+        assert doc["max_equivalence_residual"] < 1e-10
 
 
 _DELETE = object()
@@ -802,19 +805,26 @@ def test_linegraph_edges_format(capsys):
     assert float(w) > 0
 
 
-def test_linegraph_dot_format(capsys):
+def test_linegraph_dot_format(tmp_path, capsys):
     code, out, _ = run_cli(["linegraph", "--dataset", "karate", "--format", "dot"], capsys)
     assert code == 0
     assert out.startswith("graph linegraph {")
     assert '"0" [label="1-2"];' in out
+    edges = tmp_path / "quoted.edges"
+    edges.write_text('a"b c\nc d\\e\n')
+    code, out, _ = run_cli(["linegraph", str(edges), "--format", "dot"], capsys)
+    assert code == 0
+    assert '"0" [label="a\\"b-c"];' in out
+    assert '"1" [label="c-d\\\\e"];' in out
 
 
-def test_linegraph_weighted_refused(tmp_path, capsys):
+def test_linegraph_weighted(tmp_path, capsys):
     edges = tmp_path / "w.edges"
-    edges.write_text("1 2 2\n2 3 1\n")
-    code, _, err = run_cli(["linegraph", str(edges), "--weighted"], capsys)
-    assert code == 2
-    assert "error[weighted-unsupported]" in err
+    edges.write_text("1 2 2\n2 3 3\n")
+    code, out, err = run_cli(["linegraph", str(edges), "--weighted"], capsys)
+    assert code == 0, err
+    # links 0 (w 2) and 1 (w 3) share node 2 of weighted degree 5
+    assert f"0 1 {2.0 * 3.0 / 5.0:.12g}" in out.splitlines()
 
 
 def test_usage_requires_input(capsys):

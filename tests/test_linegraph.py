@@ -1,8 +1,8 @@
 """Weighted line graph, incidence normalisation, and the cut equivalence.
 
 The dense matrices here are the reference the sparse line graph is checked
-against: incidence B, degree-normalised affiliation D = B / sqrt(k), and
-E = D^T D.
+against: incidence B, weighted degree-normalised affiliation
+D[i, k] = B[i, k] * w_k / sqrt(k_i), and E = D^T D.
 """
 
 import random
@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from nodecut import (
-    WeightedUnsupported,
     ZeroInternalDegree,
     build_line_graph,
     check_equivalence,
@@ -23,9 +22,12 @@ from nodecut import (
 )
 from conftest import (
     KARATE_NODES,
+    WEIGHT_EXTREMES,
     indices_of,
     random_connected_graph,
     random_connected_subgraph,
+    random_weighted_graph,
+    spread_weighted_graph,
 )
 
 
@@ -39,8 +41,9 @@ def incidence_matrix(g):
 
 
 def normalized_affiliation(g):
-    """D: the incidence matrix with each row divided by sqrt(k_i)."""
-    return incidence_matrix(g) / np.sqrt(np.asarray(g.degrees))[:, None]
+    """D: the incidence matrix with column k times w_k and row i divided by sqrt(k_i)."""
+    weighted = incidence_matrix(g) * np.asarray(g.link_weights)[None, :]
+    return weighted / np.sqrt(np.asarray(g.degrees))[:, None]
 
 
 def dense(lg):
@@ -102,8 +105,24 @@ def test_row_normalisation_unit_norm(karate):
 
 
 def test_line_graph_factorises(karate):
-    for g in (load_edge_list("1 2\n2 3"), karate):
-        assert np.allclose(dense(build_line_graph(g)), reference_line_graph(g), atol=1e-12)
+    rng = random.Random(4)
+    graphs = [load_edge_list("1 2\n2 3"), karate, load_edge_list("1 2 2\n2 3 1", weighted=True)]
+    graphs += [random_weighted_graph(rng, 12, 10) for _ in range(3)]
+    graphs += [spread_weighted_graph(rng, 12, 10, *extreme) for extreme in WEIGHT_EXTREMES]
+    for g in graphs:
+        # relative to each entry: weighted entries range from about 1e-112 to 1e100
+        assert np.allclose(dense(build_line_graph(g)), reference_line_graph(g), rtol=1e-12, atol=0.0)
+
+
+def test_line_graph_degree_is_twice_the_link_weight():
+    """Each endpoint i of link k adds w_k * k_i / k_i to k's line-graph degree."""
+    rng = random.Random(5)
+    graphs = [random_weighted_graph(rng, 10, 8)]
+    graphs += [spread_weighted_graph(rng, 10, 8, *extreme) for extreme in WEIGHT_EXTREMES]
+    for g in graphs:
+        lg = build_line_graph(g)
+        for k, w in enumerate(g.link_weights):
+            assert lg.degree[k] == pytest.approx(2.0 * w, rel=1e-12)
 
 
 def test_incidence_columns_have_two_entries(karate):
@@ -143,13 +162,15 @@ def test_phi_empty_cut(karate):
 
 
 def test_link_set_degree_equals_internal_degree(karate):
-    lg = build_line_graph(karate)
     rng = random.Random(3)
-    for _ in range(20):
-        c = random_connected_subgraph(rng, karate, rng.randrange(2, 25))
-        links = induced_links(karate, c)
-        _, k_in, k_out = dense_phi(dense(lg), links)
-        assert k_in + k_out == pytest.approx(sigma_and_k_in(karate, c)[1], abs=1e-9)
+    for extreme in [None] + WEIGHT_EXTREMES:
+        g = karate if extreme is None else spread_weighted_graph(rng, 25, 20, *extreme)
+        lg = build_line_graph(g)
+        for _ in range(20):
+            c = random_connected_subgraph(rng, g, rng.randrange(2, 25))
+            links = induced_links(g, c)
+            _, k_in, k_out = dense_phi(dense(lg), links)
+            assert k_in + k_out == pytest.approx(sigma_and_k_in(g, c)[1], rel=1e-12)
 
 
 def test_equivalence_karate_communities(karate):
@@ -160,21 +181,17 @@ def test_equivalence_karate_communities(karate):
 
 def test_equivalence_random_subgraphs():
     rng = random.Random(17)
-    for trial in range(6):
-        g = random_connected_graph(rng, rng.randrange(6, 20), rng.randrange(2, 12))
+    # six unit-weight graphs, then two per weight extreme
+    for extreme in [None] * 6 + [e for e in WEIGHT_EXTREMES for _ in range(2)]:
+        n, extra = rng.randrange(6, 20), rng.randrange(2, 12)
+        if extreme is None:
+            g = random_connected_graph(rng, n, extra)
+        else:
+            g = spread_weighted_graph(rng, n, extra, *extreme)
         lg = build_line_graph(g)
         for _ in range(30):
             c = random_connected_subgraph(rng, g, rng.randrange(2, g.n + 1))
             assert check_equivalence(g, c, lg) < 1e-10
-
-
-def test_weighted_graphs_are_rejected():
-    g = load_edge_list("1 2 2\n2 3 1", weighted=True)
-    with pytest.raises(WeightedUnsupported):
-        build_line_graph(g)
-    unit_lg = build_line_graph(load_edge_list("1 2\n2 3"))
-    with pytest.raises(WeightedUnsupported):
-        check_equivalence(g, {0, 1}, unit_lg)
 
 
 def test_equivalence_propagates_zero_internal_degree(karate):
