@@ -223,13 +223,13 @@ def cmd_detect(args) -> int:
 def cmd_oracle(args) -> int:
     from .landscape import DEFAULT_MAX_NODES, exact_local_minima
     from .psi import psi
-    from .report import communities_from_report, dumps_report, load_report, same_graph_size, sorted_labels
+    from .report import communities_from_report, dumps_report, load_report, round12, same_graph_size, sorted_labels
 
     g, source = _load_graph(args)
     _check_output_path(args.out)
-    max_nodes = DEFAULT_MAX_NODES if args.max_nodes is None else args.max_nodes
+    max_nodes = None if args.force else (DEFAULT_MAX_NODES if args.max_nodes is None else args.max_nodes)
     try:
-        minima = exact_local_minima(g, max_nodes=max_nodes, force=args.force)
+        minima = exact_local_minima(g, max_nodes=max_nodes)
     except TooLarge as exc:
         _fail(4, "too-large", f"{exc}; pass --force to override")
     entries = []
@@ -239,7 +239,7 @@ def cmd_oracle(args) -> int:
                 "nodes": sorted_labels(g, nodes),
                 "node_count": len(nodes),
                 "link_count": len(induced_links(g, nodes)),
-                "psi": float(f"{psi(g, nodes):.12g}"),
+                "psi": round12(psi(g, nodes)),
             }
         )
     doc = {
@@ -279,7 +279,7 @@ def cmd_verify(args) -> int:
     from .landscape import verify_local_minimum
     from .linegraph import build_line_graph
     from .psi import psi
-    from .report import communities_from_report, dumps_report, load_report
+    from .report import communities_from_report, dumps_report, load_report, round12
 
     g, _ = _load_graph(args)
     communities, names = communities_from_report(g, load_report(args.report))
@@ -302,7 +302,7 @@ def cmd_verify(args) -> int:
             {
                 "name": name,
                 "node_count": len(c.nodes),
-                "psi": float(f"{psi(g, c.nodes):.12g}") if linked else None,
+                "psi": round12(psi(g, c.nodes)) if linked else None,
                 "connected": connected,
                 "local_minimum": ok,
                 "equivalence_residual": None if residual is None else float(f"{residual:.6g}"),

@@ -5,9 +5,8 @@ library; the original edge-list labels are kept on the graph and used for
 all user-facing output. Node sets and link sets are plain Python sets of
 internal indices and link ids.
 
-The record types the search, the report and the hierarchy share live here
-too, so a command that only reads a report loads no search code: Community,
-and Record, the base of the mutable result records.
+Community, the record the search, the report and the hierarchy share, lives
+here too, so a command that only reads a report loads no search code.
 """
 
 from __future__ import annotations
@@ -320,22 +319,3 @@ class Community(namedtuple("Community", "nodes links psi boundary seed_count sta
 
     __slots__ = ()
 
-
-class Record:
-    """Base of the mutable result records: one attribute per __slots__ entry.
-
-    Records of one class are equal when every field is; they are not
-    hashable, and pickle through their slots.
-    """
-
-    __slots__ = ()
-    __hash__ = None
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
-
-    def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__name__}({fields})"

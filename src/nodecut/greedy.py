@@ -60,7 +60,7 @@ import random
 from collections import namedtuple
 from itertools import islice
 
-from .graph import Community, Graph, Record, boundary_nodes, induced_links, is_connected, minimum_sort_key
+from .graph import Community, Graph, boundary_nodes, induced_links, is_connected, minimum_sort_key
 from .psi import MOVE_TOL, SubgraphState, psi
 
 __all__ = [
@@ -94,56 +94,31 @@ class TieBreakPolicy(namedtuple("TieBreakPolicy", "mode rng_seed")):
         return random.Random(f"{self.rng_seed}:{link_id}")
 
 
-class Trajectory(Record):
+class Trajectory(
+    namedtuple("Trajectory", "link_id seed steps minima final_nodes final_psi covers_graph failure", defaults=(None,))
+):
     """Move log of one seed run.
 
-    steps holds (step, action, node, psi, size) with action one of
-    "add", "remove", "record-minimum"; node is None on record rows.
-    minima lists recorded node sets in order of first discovery. failure is
-    None, or the message of a run that exhausted its phase budget.
+    seed is the (u, v) node pair of link link_id. steps holds (step, action,
+    node, psi, size) with action one of "add", "remove", "record-minimum";
+    node is None on record rows. minima lists recorded node sets in order of
+    first discovery. The run ends at final_nodes with cut value final_psi;
+    covers_graph is whether that is every node. failure is None, or the
+    message of a run that exhausted its phase budget.
     """
 
-    __slots__ = ("link_id", "seed", "steps", "minima", "final_nodes", "final_psi", "covers_graph", "failure")
-
-    def __init__(
-        self,
-        link_id: int,
-        seed: tuple[int, int],
-        steps: list[tuple[int, str, int | None, float, int]],
-        minima: list[frozenset[int]],
-        final_nodes: frozenset[int],
-        final_psi: float,
-        covers_graph: bool,
-        failure: str | None = None,
-    ):
-        self.link_id = link_id
-        self.seed = seed
-        self.steps = steps
-        self.minima = minima
-        self.final_nodes = final_nodes
-        self.final_psi = final_psi
-        self.covers_graph = covers_graph
-        self.failure = failure
+    __slots__ = ()
 
 
 # A cached phase: (rows without step numbers, next settled set, its psi, frontier empty).
 _Phase = tuple[list[tuple[str, int | None, float, int]], frozenset[int], float, bool]
 
 
-class DetectionResult(Record):
-    """Aggregated outcome of running every seed link."""
+class DetectionResult(namedtuple("DetectionResult", "communities trajectories histogram")):
+    """Aggregated outcome of running every seed link: the merged communities,
+    one Trajectory per seed link, and how many runs recorded each number of minima."""
 
-    __slots__ = ("communities", "trajectories", "histogram")
-
-    def __init__(
-        self,
-        communities: list[Community],
-        trajectories: list[Trajectory],
-        histogram: dict[int, int] | None = None,
-    ):
-        self.communities = communities
-        self.trajectories = trajectories
-        self.histogram = {} if histogram is None else histogram
+    __slots__ = ()
 
 
 def _select(g: Graph, tied: list[int], rng: random.Random | None) -> int:

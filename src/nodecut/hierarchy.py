@@ -25,7 +25,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 
-from .graph import ROOT, Community, Graph, Record, dot_text
+from .graph import ROOT, Community, Graph, dot_text
 
 __all__ = [
     "OverlapRelation",
@@ -70,17 +70,14 @@ def cover_check(g: Graph, a: Community, b: Community) -> bool:
     return len(a.nodes | b.nodes) == g.n
 
 
-class PolyhierarchyDag(Record):
-    """Direct-containment edges over named communities plus the whole-graph root."""
+class PolyhierarchyDag(namedtuple("PolyhierarchyDag", "names node_sets edges")):
+    """Direct-containment edges over named communities plus the whole-graph root.
 
-    __slots__ = ("names", "node_sets", "edges")
+    names lists the root first; node_sets maps each name to its frozenset of
+    node indices; edges holds (parent, child) name pairs.
+    """
 
-    def __init__(
-        self, names: list[str], node_sets: dict[str, frozenset[int]], edges: list[tuple[str, str]]
-    ):
-        self.names = names
-        self.node_sets = node_sets
-        self.edges = edges  # (parent, child)
+    __slots__ = ()
 
 
 def _mask(bits: list[int], items) -> int:

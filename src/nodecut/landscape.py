@@ -43,18 +43,16 @@ def _neighbor_masks(g: Graph) -> list[int]:
     return [sum(1 << j for j, _, _ in g.adj[i]) for i in range(g.n)]
 
 
-def enumerate_connected_subgraphs(
-    g: Graph, max_nodes: int = DEFAULT_MAX_NODES, force: bool = False
-) -> Iterator[int]:
+def enumerate_connected_subgraphs(g: Graph, max_nodes: int | None = DEFAULT_MAX_NODES) -> Iterator[int]:
     """Mask of every connected node set with >= 2 nodes (so >= 1 internal link), exactly once.
 
     Sets are grown depth-first from each anchor node using only
     higher-indexed nodes. A set's extensions are tried in ascending node
     order, and each one bans the frontier nodes tried before it, which makes
-    every extension unique. Raises TooLarge when the graph exceeds max_nodes
-    and force is not set.
+    every extension unique. Raises TooLarge when the graph exceeds max_nodes;
+    None sets no cap.
     """
-    if g.n > max_nodes and not force:
+    if max_nodes is not None and g.n > max_nodes:
         raise TooLarge(f"{g.n} nodes exceeds the enumeration cap {max_nodes}")
     nbr = _neighbor_masks(g)
     for anchor in range(g.n):
@@ -74,9 +72,7 @@ def enumerate_connected_subgraphs(
                 stack.append((current | 1 << i, banned | rest, reach | nbr[i]))
 
 
-def _places(
-    g: Graph, max_nodes: int = DEFAULT_MAX_NODES, force: bool = False
-) -> tuple[dict[int, float], dict[int, int]]:
+def _places(g: Graph, max_nodes: int | None = DEFAULT_MAX_NODES) -> tuple[dict[int, float], dict[int, int]]:
     """(psi of every place, frontier mask of every place), both keyed by mask."""
     nbr = _neighbor_masks(g)
     adj, degrees = g.adj, g.degrees
@@ -95,7 +91,7 @@ def _places(
 
     places: dict[int, float] = {}
     frontiers: dict[int, int] = {}
-    for s in enumerate_connected_subgraphs(g, max_nodes, force):
+    for s in enumerate_connected_subgraphs(g, max_nodes):
         sigma = 0.0
         k_in = 0.0
         reach = 0
@@ -114,9 +110,7 @@ def _places(
     return places, frontiers
 
 
-def exact_local_minima(
-    g: Graph, max_nodes: int = DEFAULT_MAX_NODES, force: bool = False
-) -> list[frozenset[int]]:
+def exact_local_minima(g: Graph, max_nodes: int | None = DEFAULT_MAX_NODES) -> list[frozenset[int]]:
     """Node sets of every strict local minimum of the landscape, ground states excluded.
 
     A place is a minimum when no neighboring place (one node added, or one
@@ -124,7 +118,7 @@ def exact_local_minima(
     strictly smaller cut value. Places with value 0 are whole components and
     are reported as ground states elsewhere, not communities.
     """
-    places, frontiers = _places(g, max_nodes, force)
+    places, frontiers = _places(g, max_nodes)
     minima = []
     for s, value in places.items():
         if value == 0.0:

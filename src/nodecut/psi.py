@@ -274,8 +274,6 @@ class SubgraphState:
                 self.frontier.discard(j)
         if self.in_cnt[i] > 0:
             self.frontier.add(i)
-        else:
-            self.frontier.discard(i)
         self._mark_stale(i)
 
     def recompute(self) -> float:

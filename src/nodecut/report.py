@@ -21,6 +21,7 @@ __all__ = [
     "same_graph_size",
     "communities_from_report",
     "sorted_labels",
+    "round12",
     "link_label_pairs",
     "trajectory_rows",
     "trajectory_file_name",
@@ -30,7 +31,7 @@ __all__ = [
 REPORT_VERSION = 1
 
 
-def _round12(x: float) -> float:
+def round12(x: float) -> float:
     """Floats are reported with 12 significant digits."""
     return float(f"{x:.12g}")
 
@@ -58,10 +59,10 @@ def community_entry(g: Graph, name: str, c: Community) -> dict:
         "node_count": len(c.nodes),
         "links": link_label_pairs(g, c.links),
         "link_count": len(c.links),
-        "psi": _round12(c.psi),
+        "psi": round12(c.psi),
         "boundary": sorted_labels(g, c.boundary),
         "seed_count": c.seed_count,
-        "stability": None if c.stability is None else _round12(c.stability),
+        "stability": None if c.stability is None else round12(c.stability),
     }
 
 
@@ -100,7 +101,7 @@ def build_report(
                 "seed": sorted_labels(g, t.seed),
                 "minima": [name_of[nodes] for nodes in t.minima],
                 "steps": len(t.steps),
-                "final_psi": _round12(t.final_psi),
+                "final_psi": round12(t.final_psi),
                 "covers_graph": t.covers_graph,
             }
         )

@@ -4,6 +4,7 @@ import concurrent.futures
 import csv
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -198,10 +199,17 @@ def test_oracle_and_detect_list_tied_minima_in_one_order(tmp_path, capsys):
     assert oracle == detect == [["1", "2", "3", "4"], ["3", "4", "5", "6"]]
 
 
-def test_oracle_cap_exit_4(capsys):
+def test_oracle_cap_exit_4(tmp_path, capsys):
     code, _, err = run_cli(["oracle", "--dataset", "karate"], capsys)
     assert code == 4
     assert "error[too-large]" in err
+    edges = tmp_path / "twotri.edges"
+    edges.write_text(TWO_TRIANGLES)
+    code, _, err = run_cli(["oracle", str(edges), "--max-nodes", "5"], capsys)
+    assert code == 4
+    assert err.endswith("6 nodes exceeds the enumeration cap 5; pass --force to override\n")
+    code, out, _ = run_cli(["oracle", str(edges), "--max-nodes", "5", "--force"], capsys)
+    assert code == 0 and json.loads(out)["count"] > 0
 
 
 def test_oracle_compare_sound(tmp_path, capsys):
@@ -844,13 +852,16 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_console_script_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "nodecut.cli", "detect", "--dataset", "karate"],
-        capture_output=True,
-        text=True,
-        timeout=120,
+    """The `nodecut` script pyproject.toml declares runs detect as an installed script would."""
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = re.search(r"^\[project\.scripts\]$(.*?)(?:^\[|\Z)", pyproject, re.M | re.S).group(1)
+    module, function = re.search(r'^nodecut\s*=\s*"([\w.]+):(\w+)"$', scripts, re.M).groups()
+    script = (
+        f"import sys; from {module} import {function}; "
+        f"sys.argv = ['nodecut', 'detect', '--dataset', 'karate']; sys.exit({function}())"
     )
-    assert proc.returncode == 0
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["seeds"]["histogram"] == {"1": 27, "2": 42, "3": 9}
 
 

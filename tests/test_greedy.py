@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from nodecut import (
     Community,
-    DetectionResult,
     SubgraphState,
     TieBreakPolicy,
     Trajectory,
@@ -549,20 +548,17 @@ def test_records_keep_their_value_semantics(karate, karate_result):
     communities = karate_result.communities
     dag = build_polyhierarchy(karate, communities, [f"C{i + 1}" for i in range(len(communities))])
     frozen = [TieBreakPolicy("random", 3), communities[0], classify_overlap(communities[0], communities[2])]
-    mutable = [karate_result.trajectories[0], karate_result, dag]
-    for record in frozen + mutable:
+    holding_lists = [karate_result.trajectories[0], karate_result, dag]
+    for record in frozen + holding_lists:
         copy = pickle.loads(pickle.dumps(record))
         assert type(copy) is type(record) and copy == record
-    for record in frozen:
-        assert hash(pickle.loads(pickle.dumps(record))) == hash(record)
         with pytest.raises(AttributeError):
             setattr(record, record._fields[0], None)
-    for record in mutable:
+    for record in frozen:
+        assert hash(pickle.loads(pickle.dumps(record))) == hash(record)
+    for record in holding_lists:
         with pytest.raises(TypeError):
             hash(record)
-        copy = pickle.loads(pickle.dumps(record))
-        setattr(copy, record.__slots__[0], None)
-        assert copy != record
     assert communities[0] != communities[1]
     assert TieBreakPolicy() == TieBreakPolicy(mode="deterministic", rng_seed=0)
     assert TieBreakPolicy("random", 1) != TieBreakPolicy("random", 2)
@@ -570,9 +566,6 @@ def test_records_keep_their_value_semantics(karate, karate_result):
     assert (whole.seed_count, whole.stability) == (0, None)
     run = Trajectory(0, (0, 1), [], [], frozenset({0, 1}), 0.0, True)
     assert run.failure is None
-    first, second = DetectionResult([], [run]), DetectionResult([], [run])
-    first.histogram[1] = 1
-    assert second.histogram == {}
 
 
 def test_random_small_graphs_terminate_and_certify():

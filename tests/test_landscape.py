@@ -117,7 +117,7 @@ def test_enumeration_cap():
     g = load_edge_list(PATH3)
     with pytest.raises(TooLarge):
         list(enumerate_connected_subgraphs(g, max_nodes=2))
-    assert len(list(enumerate_connected_subgraphs(g, max_nodes=2, force=True))) == 3
+    assert len(list(enumerate_connected_subgraphs(g, max_nodes=None))) == 3
 
 
 def test_exact_minima_path3_empty():
