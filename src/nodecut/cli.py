@@ -189,7 +189,7 @@ def cmd_detect(args) -> int:
             _fail(2, "seed", f"--seed {args.seed!r} is not a link of the graph")
         result = merge_trajectories(g, [run_from_seed(g, seed_link, policy)])
     else:
-        result = run_all_seeds(g, policy, jobs=args.jobs)
+        result = run_all_seeds(g, policy)
     elapsed = time.perf_counter() - started
     report = build_report(
         g,
@@ -391,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--all-seeds", action="store_true", help="run every link (default)")
     p.add_argument("--tie-break", choices=["det", "rng"], default="det")
     p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes (at least 1)")
+    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; no effect (at least 1)")
     p.add_argument("--out", help="write the JSON report here (default: stdout)")
     p.add_argument("--trajectories", metavar="DIR", help="write one move-log CSV per seed")
     p.add_argument("--include-ground-state", action="store_true")

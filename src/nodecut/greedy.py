@@ -31,19 +31,18 @@ max(10 * n, 100) escape phases: its Trajectory keeps every step and minimum
 so far, ends at its last settled set and carries a failure message.
 
 Phase cache. Runs from different seeds fall into the same hollows and then
-replay the same escapes. A run settles with recompute(), after which the
-state depends on the settled node set K alone, so under the deterministic
-policy the phase that follows (the escape and the descent and pruning into
-the next settled set) depends only on K and the escape rank, the run's
-earlier visit count for K. run_all_seeds therefore shares one dict per
-sweep mapping (K, rank) to that phase: its step rows without step numbers,
-the next settled set, its exact psi and whether its frontier is empty. Under
-jobs > 1 each pool worker holds a copy, and the workers send one another the
-phases they compute between rounds of seed links. A run replays a cached
-phase with its own step numbers and computes and stores a missing one,
-first rebuilding the state at K if a replayed phase left it elsewhere.
-Visits, records and the phase budget are kept per run either way, so a
-cached trajectory equals the uncached one, float for float.
+replay the same escapes. A run settles with recompute(), after which its
+sums, and so every score, depend on the settled node set K alone, so under
+the deterministic policy the phase that follows (the escape and the descent
+and pruning into the next settled set) depends only on K and the escape
+rank, the run's earlier visit count for K. run_all_seeds therefore shares
+one dict per sweep mapping (K, rank) to that phase: its step rows without
+step numbers, the next settled set, its exact psi and whether its frontier
+is empty. A run replays a cached phase by chaining the cache's row list into
+its Steps, not a copy, and computes and stores a missing one, first
+rebuilding the state at K if a replayed phase left it elsewhere. Visits,
+records and the phase budget are kept per run either way, so a cached
+trajectory equals the uncached one, float for float.
 
 The random policy draws from the run's generator only to break a tie of two
 or more candidates, and ties are a function of the state. So a phase that
@@ -55,10 +54,9 @@ that reaches it computes it with its own generator.
 
 from __future__ import annotations
 
-import os
 import random
 from collections import namedtuple
-from itertools import islice
+from collections.abc import Sequence
 
 from .graph import Community, Graph, boundary_nodes, induced_links, is_connected, minimum_sort_key
 from .psi import MOVE_TOL, SubgraphState, psi
@@ -66,6 +64,7 @@ from .psi import MOVE_TOL, SubgraphState, psi
 __all__ = [
     "TieBreakPolicy",
     "Trajectory",
+    "Steps",
     "DetectionResult",
     "prune",
     "run_from_seed",
@@ -101,17 +100,59 @@ class Trajectory(
 
     seed is the (u, v) node pair of link link_id. steps holds (step, action,
     node, psi, size) with action one of "add", "remove", "record-minimum";
-    node is None on record rows. minima lists recorded node sets in order of
-    first discovery. The run ends at final_nodes with cut value final_psi;
-    covers_graph is whether that is every node. failure is None, or the
-    message of a run that exhausted its phase budget.
+    node is None on record rows. A run's steps are a Steps chain; a plain
+    list of such rows reads the same everywhere. minima lists recorded node
+    sets in order of first discovery. The run ends at final_nodes with cut
+    value final_psi; covers_graph is whether that is every node. failure is
+    None, or the message of a run that exhausted its phase budget.
     """
 
     __slots__ = ()
 
 
-# A cached phase: (rows without step numbers, next settled set, its psi, frontier empty).
-_Phase = tuple[list[tuple[str, int | None, float, int]], frozenset[int], float, bool]
+# A step row without its step number: (action, node, psi, size).
+_Row = tuple[str, int | None, float, int]
+# A cached phase: (its rows, next settled set, its psi, frontier empty).
+_Phase = tuple[list[_Row], frozenset[int], float, bool]
+
+
+class Steps(Sequence):
+    """Read-only (step, action, node, psi, size) rows of one run, numbered
+    in order over chain, a list of row lists without step numbers.
+
+    The chain holds the run's own rows and, for each phase the run replayed,
+    the phase cache's own list, so runs share the rows of common phases.
+    Equality is by rows, against another Steps or a plain list.
+    """
+
+    __slots__ = ("chain", "_len")
+
+    def __init__(self, chain: list[list[_Row]]):
+        self.chain = chain
+        self._len = sum(map(len, chain))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        step = 0
+        for rows in self.chain:
+            for row in rows:
+                step += 1
+                yield (step, *row)
+
+    def __getitem__(self, index):
+        return list(self)[index]
+
+    def __eq__(self, other):
+        if isinstance(other, (Steps, list)):
+            return len(self) == len(other) and list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Steps({list(self)!r})"
 
 
 class DetectionResult(namedtuple("DetectionResult", "communities trajectories histogram")):
@@ -205,14 +246,15 @@ def run_from_seed(
     rng = policy.rng_for(link_id)
     u, v = g.link_ends[link_id]
     state = SubgraphState(g, {u, v})
-    steps: list[tuple[int, str, int | None, float, int]] = []
+    own: list[_Row] = []  # the rows this run logs since it last chained a list
+    chain: list[list[_Row]] = []
     minima: list[frozenset[int]] = []
     visits: dict[frozenset[int], int] = {}
     phases = 0
     max_phases = max(10 * g.n, 100)
 
     def log(action, node):
-        steps.append((len(steps) + 1, action, node, state.psi, len(state.members)))
+        own.append((action, node, state.psi, len(state.members)))
 
     def add(x):
         """Add x and score the additions after it, as best_add's (delta, tie set)."""
@@ -241,21 +283,23 @@ def run_from_seed(
         visits[key] = seen + 1
         if seen == 0 and exact > 0.0:
             minima.append(key)
-            steps.append((len(steps) + 1, "record-minimum", None, exact, len(key)))
+            own.append(("record-minimum", None, exact, len(key)))
         if done:
             break
         phases += 1
         if phases > max_phases:
             failure = f"seed {g.link_label_pair(link_id)}: no progress after {phases} phases"
             break
+        if own:  # the phase's rows get a list of their own, which the cache may share
+            chain.append(own)
+            own = []
         phase = cache.get((key, seen)) if cache is not None else None
         if phase is not None:
             rows, key, exact, done = phase
-            steps.extend((n, *row) for n, row in enumerate(rows, len(steps) + 1))
+            chain.append(rows)
             continue
         if state.members != key:
             state = SubgraphState(g, key)  # a cached phase left the live state behind
-        start = len(steps)
         before = rng.getstate() if rng is not None else None
         # climb out of the hollow, then fall into the next one
         best = add(_ranked(state, seen) if seen else _select(g, state.best_add()[1], rng))
@@ -264,12 +308,16 @@ def run_from_seed(
         settled = settle(best)
         # a phase that broke a tie with a draw may go another way in another run
         if cache is not None and (rng is None or rng.getstate() == before):
-            cache[key, seen] = ([row[1:] for row in steps[start:]], *settled)
+            cache[key, seen] = (own, *settled)
+            chain.append(own)
+            own = []
         key, exact, done = settled
+    if own:
+        chain.append(own)
     return Trajectory(
         link_id=link_id,
         seed=(u, v),
-        steps=steps,
+        steps=Steps(chain),
         minima=minima,
         final_nodes=key,
         final_psi=exact,
@@ -278,75 +326,20 @@ def run_from_seed(
     )
 
 
-_WORKER: dict = {}
-
-
-def _init_worker(g: Graph, policy: TieBreakPolicy):
-    _WORKER["g"] = g
-    _WORKER["policy"] = policy
-    _WORKER["cache"] = {}
-
-
-def _run_links(links: range, learned: list) -> tuple[int, list[Trajectory], list]:
-    """Run a block of seed links in a pool worker.
-
-    Merges the phases other workers computed (learned) into this worker's
-    cache first. Returns the worker's pid, the block's trajectories and the
-    phases the block computed.
-    """
-    cache = _WORKER["cache"]
-    cache.update(learned)
-    before = len(cache)
-    trajectories = [run_from_seed(_WORKER["g"], lid, _WORKER["policy"], cache) for lid in links]
-    return os.getpid(), trajectories, list(islice(cache.items(), before, None))
-
-
 def run_all_seeds(
     g: Graph, policy: TieBreakPolicy | None = None, jobs: int = 1
 ) -> DetectionResult:
-    """Run every link as a seed and merge the recorded minima.
+    """Run every link as a seed, sharing one phase cache, and merge the recorded minima.
 
     Minima are deduplicated by exact node set; seed_count is the number of
     runs, failed ones included, that recorded each one. The whole-graph
     ground state is never a community. On a disconnected graph each run
-    stays inside its seed's component. Result order and content do not
-    depend on jobs.
-
-    With jobs > 1 the links go to the pool in rounds of one contiguous
-    block per worker. Each block returns the phases it computed, and every
-    block of the next round carries those its worker may lack, so a phase
-    is computed again only by blocks of the same round.
+    stays inside its seed's component. jobs is accepted for compatibility
+    and has no effect: every sweep runs in this process.
     """
     policy = policy or TieBreakPolicy()
-    # the pool starts every worker it is given, so never more than there are seeds
-    workers = min(jobs, g.m)
-    if workers == 1:
-        cache: dict[tuple[frozenset[int], int], _Phase] = {}
-        return merge_trajectories(g, [run_from_seed(g, lid, policy, cache) for lid in range(g.m)])
-    # imported here: concurrent.futures costs every --jobs 1 process its start-up
-    from concurrent.futures import ProcessPoolExecutor
-
-    size = max(1, g.m // (8 * workers))
-    blocks = [range(start, min(start + size, g.m)) for start in range(0, g.m, size)]
-    trajectories: list[Trajectory] = []
-    learned: list = []  # phases the workers returned, in arrival order
-    known: dict[int, int] = {}  # worker pid -> length of the prefix of learned sent to it
-    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(g, policy)) as pool:
-        for first in range(0, len(blocks), workers):
-            # a worker may take two blocks of a round and another none, so
-            # send what the least informed worker lacks
-            start = min(known.values()) if len(known) == workers else 0
-            sent = len(learned)
-            futures = [
-                pool.submit(_run_links, block, learned[start:])
-                for block in blocks[first : first + workers]
-            ]
-            for future in futures:
-                pid, runs, computed = future.result()
-                known[pid] = sent
-                trajectories += runs
-                learned += computed
-    return merge_trajectories(g, trajectories)
+    cache: dict[tuple[frozenset[int], int], _Phase] = {}
+    return merge_trajectories(g, [run_from_seed(g, lid, policy, cache) for lid in range(g.m)])
 
 
 def merge_trajectories(g: Graph, trajectories: list[Trajectory]) -> DetectionResult:

@@ -24,9 +24,11 @@ frontier node, the remove delta of a member. Node i's delta reads only the
 members among its neighbors, their k_j_in, and k_i_in. A move of x changes
 x's role, the membership seen by x's neighbors and k_j_in of x's neighbors,
 so it invalidates exactly x, N(x), and N(j) for every member neighbor j of
-x: the ball of radius two around x. recompute() clears the whole cache. A
-stale entry is recomputed with the delta formula above, in adjacency order,
-so a score from a cached delta is the same float psi_after_* returns.
+x: the ball of radius two around x. recompute() drops only the deltas that
+read an in_w its refresh changed (none on unit weights, whose sums are
+exact). A stale entry is recomputed with the delta formula above, in
+adjacency order, so a score from a cached delta is the same float
+psi_after_* returns.
 """
 
 from __future__ import annotations
@@ -75,7 +77,8 @@ class SubgraphState:
     delta[i] caches node i's exact sigma delta: the add delta of a frontier
     node, the remove delta of a member, None when stale (always None for
     other nodes). A move of x marks stale x, every neighbor of x, and every
-    neighbor of a member neighbor of x; recompute() marks every node stale.
+    neighbor of a member neighbor of x; recompute() marks stale each node
+    whose refreshed in_w differs, and every neighbor of such a member.
     add_scores() and remove_scores() score all candidate moves, recomputing
     only stale deltas, and the moves reuse a cached delta.
     """
@@ -277,10 +280,20 @@ class SubgraphState:
         self._mark_stale(i)
 
     def recompute(self) -> float:
-        """Force a from-scratch refresh of all caches; returns the exact psi.
+        """Refresh every sum from scratch; returns the exact psi.
 
-        The refreshed state depends on the node set alone, not on the moves
-        that led to it.
+        The refreshed sums depend on the node set alone, not on the moves
+        that led to it. A cached delta survives when the refresh left every
+        in_w it reads as it was, so it is still exact.
         """
+        in_w, delta = self.in_w, self.delta
         self._rebuild()
+        members, adj = self.members, self.g.adj
+        for x, (old, new) in enumerate(zip(in_w, self.in_w)):
+            if old != new:
+                delta[x] = None
+                if x in members:  # its neighbors' deltas read its in_w
+                    for j, _, _ in adj[x]:
+                        delta[j] = None
+        self.delta = delta
         return self.psi

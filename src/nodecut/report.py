@@ -272,8 +272,9 @@ def trajectory_file_name(g: Graph, traj: Trajectory) -> str:
 def trajectory_csvs(g: Graph, trajectories) -> list[str]:
     """CSV text of each run: a header row, then its trajectory_rows; lines end in CRLF.
 
-    Each distinct row after its step number, and each label's field, is
-    rendered once across the runs.
+    The step numbers are prefixed to each row list's rendered rows, so a row
+    list that runs share through a Steps chain (nodecut.greedy) is rendered
+    once, and so is each label's field.
     """
     import csv  # only detect --trajectories writes CSV
 
@@ -283,17 +284,28 @@ def trajectory_csvs(g: Graph, trajectories) -> list[str]:
         return buf.getvalue()[1:-2]
 
     fields = [field(label) for label in g.labels]
-    suffixes: dict[tuple, str] = {}
+
+    def render(rows) -> list[str]:
+        """The CSV text after the step number of each (action, node, psi, size) row."""
+        return [
+            f",{action},{'' if node is None else fields[node]},{value:.12g},{size}\r\n"
+            for action, node, value, size in rows
+        ]
+
+    rendered: dict[int, tuple[list, list[str]]] = {}  # id of a row list -> (the list, its text)
     texts = []
     for traj in trajectories:
         parts = ["step,action,node,psi,size\r\n"]
-        for row in traj.steps:
-            key = row[1:]
-            suffix = suffixes.get(key)
-            if suffix is None:
-                action, node, value, size = key
-                label = "" if node is None else fields[node]
-                suffix = suffixes[key] = f",{action},{label},{value:.12g},{size}\r\n"
-            parts.append(f"{row[0]}{suffix}")
+        chain = getattr(traj.steps, "chain", None)
+        if chain is None:  # a plain list of numbered rows
+            parts += [f"{row[0]}{text}" for row, text in zip(traj.steps, render(row[1:] for row in traj.steps))]
+        else:
+            step = 1
+            for rows in chain:
+                entry = rendered.get(id(rows))
+                if entry is None:
+                    entry = rendered[id(rows)] = (rows, render(rows))
+                parts += [f"{n}{text}" for n, text in enumerate(entry[1], step)]
+                step += len(rows)
         texts.append("".join(parts))
     return texts

@@ -1,6 +1,5 @@
 """Command-line surface: subcommands, formats, and exit codes."""
 
-import concurrent.futures
 import csv
 import json
 import os
@@ -654,43 +653,6 @@ def test_detect_jobs_below_one_exit_2(capsys, jobs):
     assert out == ""
 
 
-def test_detect_pool_has_no_more_workers_than_seeds(tmp_path, capsys, monkeypatch):
-    """--jobs above the link count starts one worker per link, not --jobs workers."""
-    from nodecut import greedy
-
-    started, blocks = [], []
-
-    class SerialPool:
-        """Stands in for ProcessPoolExecutor: records its size and blocks, runs them in this process."""
-
-        def __init__(self, max_workers, initializer, initargs):
-            started.append(max_workers)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, links, learned):
-            blocks.append(links)
-            future = concurrent.futures.Future()
-            future.set_result(fn(links, learned))
-            return future
-
-    # run_all_seeds imports the pool class from concurrent.futures when it needs one
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(greedy, "_WORKER", {})
-    serial, pooled = tmp_path / "serial.json", tmp_path / "pooled.json"
-    assert cli.main(["detect", "--dataset", "karate", "--out", str(serial)]) == 0
-    assert started == []
-    assert cli.main(["detect", "--dataset", "karate", "--jobs", "500", "--out", str(pooled)]) == 0
-    assert started == [78]  # 78 links, so 78 workers ...
-    assert blocks == [range(i, i + 1) for i in range(78)]  # ... and one link per block
-    assert pooled.read_bytes() == serial.read_bytes()
-
-
 def test_hierarchy_writes_both_outputs_or_neither(karate_report, tmp_path, capsys):
     dot = tmp_path / "ok.dot"
     before = set(tmp_path.iterdir())
@@ -865,16 +827,21 @@ def test_console_script_entry_point():
     assert json.loads(proc.stdout)["seeds"]["histogram"] == {"1": 27, "2": 42, "3": 9}
 
 
-def test_importing_the_cli_leaves_the_process_pool_unloaded():
-    """concurrent.futures is imported only by detect --jobs 2 and more."""
+def test_importing_the_cli_leaves_the_process_pool_unloaded(tmp_path):
+    """detect --jobs 2 runs its sweep in its own process: it loads neither
+    concurrent.futures nor multiprocessing."""
+    script = (
+        "import sys; from nodecut import cli; code = cli.main(sys.argv[1:]); "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules)); "
+        "sys.exit(code)"
+    )
+    argv = ["detect", "--dataset", "karate", "--jobs", "2", "--out", str(tmp_path / "r.json")]
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, nodecut.cli; print('concurrent.futures' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        timeout=120,
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
+    assert json.loads((tmp_path / "r.json").read_text())["seeds"]["total"] == 78
 
 
 def _imported(args, cwd) -> set[str]:

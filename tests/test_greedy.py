@@ -1,6 +1,5 @@
 """Greedy descent runs: move selection, pruning, escapes, and full sweeps."""
 
-import multiprocessing
 import pickle
 import random
 
@@ -23,7 +22,7 @@ from nodecut import (
     run_from_seed,
     verify_local_minimum,
 )
-from nodecut.greedy import _ranked, _select
+from nodecut.greedy import Steps, _ranked, _select
 from nodecut.psi import MOVE_TOL
 from conftest import (
     KARATE_NODES,
@@ -261,36 +260,6 @@ def test_jobs_do_not_change_results(karate):
         ]
 
 
-def test_pool_workers_share_the_phases_they_compute(monkeypatch):
-    """Workers forward the phases they compute to one another, so a pool
-    computes few more phases than one process does; a pool with more
-    workers than cores still gives the serial trajectories.
-
-    Every computed phase, and every run's first descent, ends in one
-    recompute(); the counter sits in shared memory that forked workers
-    inherit along with the patched method.
-    """
-    counter = multiprocessing.Value("i", 0)
-    recompute = SubgraphState.recompute
-
-    def counted(state):
-        with counter.get_lock():
-            counter.value += 1
-        return recompute(state)
-
-    monkeypatch.setattr(SubgraphState, "recompute", counted)
-    g = random_connected_graph(random.Random(3), 60, 120)
-    computed, steps = {}, {}
-    for jobs in (1, 2, 4):
-        counter.value = 0
-        steps[jobs] = [t.steps for t in run_all_seeds(g, jobs=jobs).trajectories]
-        computed[jobs] = counter.value
-    assert steps[2] == steps[4] == steps[1]
-    # every phase a run reaches is computed at least once, whatever the pool
-    assert computed[1] <= computed[2] <= 1.15 * computed[1]
-    assert computed[1] <= computed[4] <= 1.25 * computed[1]
-
-
 def test_disconnected_runs_confined_to_components():
     g = load_edge_list("1 2\n2 3\n4 5\n5 6\n6 4")
     res = run_all_seeds(g)
@@ -362,6 +331,37 @@ def test_a_miss_after_a_replayed_phase_rebuilds_the_state(karate):
     del cache[second]
     assert run_from_seed(karate, link_id, None, cache) == plain
     assert second in cache
+
+
+def test_a_replayed_phase_chains_the_cache_rows_themselves(karate):
+    """A run that replays a cached phase chains the cache's row list, not a copy."""
+    cache = {}
+    runs = [run_from_seed(karate, link_id, None, cache) for link_id in range(karate.m)]
+    phases = [rows for rows, *_ in cache.values()]
+    chained = [rows for t in runs for rows in t.steps.chain if any(rows is p for p in phases)]
+    # the run that computes a phase chains its list once; every replay chains it again
+    assert len(chained) > len(phases)
+    assert runs == [run_from_seed(karate, link_id) for link_id in range(karate.m)]
+
+
+def test_a_sweep_stores_shared_rows_once():
+    g = random_connected_graph(random.Random(3), 60, 120)
+    trajectories = run_all_seeds(g).trajectories
+    stored = {id(rows): len(rows) for t in trajectories for rows in t.steps.chain}
+    assert 2 * sum(stored.values()) < sum(len(t.steps) for t in trajectories)  # 3,904 of 10,933
+
+
+def test_steps_read_as_numbered_rows(karate_result):
+    """Steps number the chained rows 1, 2, ..., compare equal to the list of
+    those rows either way round, and survive a pickle round trip."""
+    for t in karate_result.trajectories:
+        rows = list(t.steps)
+        assert [step for step, *_ in rows] == list(range(1, len(t.steps) + 1))
+        assert t.steps == rows and rows == t.steps
+        assert t.steps[-1] == rows[-1] and t.steps != rows[:-1]
+    copy = pickle.loads(pickle.dumps(karate_result.trajectories))
+    assert all(type(t.steps) is Steps for t in copy)
+    assert copy == karate_result.trajectories
 
 
 def fresh_phase(g, key, rank, rng):
@@ -544,7 +544,7 @@ def test_tie_break_policy_validation():
 
 
 def test_records_keep_their_value_semantics(karate, karate_result):
-    """Equality, hashing, pickling (as --jobs does), immutability and defaults of the six records."""
+    """Equality, hashing, pickling, immutability and defaults of the six records."""
     communities = karate_result.communities
     dag = build_polyhierarchy(karate, communities, [f"C{i + 1}" for i in range(len(communities))])
     frozen = [TieBreakPolicy("random", 3), communities[0], classify_overlap(communities[0], communities[2])]

@@ -160,7 +160,7 @@ def test_random_tie_break_reproduces_from_its_seed(g, rng_seed):
 @settings(max_examples=3)
 @given(random_graphs(12, 30), st.integers(0, 2**32 - 1))
 def test_jobs_do_not_change_report_bytes(g, rng_seed):
-    """A two-worker pool gives the serial sweep's report and CSVs, byte for byte."""
+    """jobs=2 gives the report and CSVs of jobs=1, byte for byte."""
     for policy in (TieBreakPolicy(), TieBreakPolicy("random", rng_seed)):
         assert detect_outputs(g, policy, jobs=2) == detect_outputs(g, policy, jobs=1)
 

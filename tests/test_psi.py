@@ -13,6 +13,7 @@ from nodecut import (
     ZeroInternalDegree,
     load_edge_list,
     psi,
+    run_all_seeds,
     sigma_and_k_in,
 )
 from nodecut.psi import MOVE_TOL
@@ -247,13 +248,34 @@ def test_cached_deltas_match_fresh_random_walk(weighted):
             _check_cached_deltas(s)
             r = rng.random()
             if r < 0.1:
+                kept = list(s.delta)
                 s.recompute()
-                assert s.delta == [None] * g.n
+                # unit weights: the refresh changes no in_w, so every delta survives
+                assert s.delta == kept if not weighted else all(d in (None, k) for d, k in zip(s.delta, kept))
             elif r < 0.6 and adds:
                 s.apply_add(rng.choice(adds)[1])
             elif removes:
                 s.apply_remove(rng.choice(removes)[1])
             _check_cached_deltas(s)  # what survived the move is still exact
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_recompute_keeps_only_exact_deltas(monkeypatch, weighted):
+    """After every recompute() of a sweep, each delta it kept is exact."""
+    make = random_weighted_graph if weighted else random_connected_graph
+    g = make(random.Random(7), 200 if not weighted else 90, 400 if not weighted else 180)
+    recompute = SubgraphState.recompute
+    kept = []
+
+    def checked(state):
+        exact = recompute(state)
+        _check_cached_deltas(state)
+        kept.append(sum(d is not None for d in state.delta))
+        return exact
+
+    monkeypatch.setattr(SubgraphState, "recompute", checked)
+    run_all_seeds(g)
+    assert sum(kept) > 0
 
 
 def test_whole_graph_cut_is_zero_whatever_sum_the_interpreter_has(monkeypatch):
