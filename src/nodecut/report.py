@@ -292,20 +292,21 @@ def trajectory_csvs(g: Graph, trajectories) -> list[str]:
             for action, node, value, size in rows
         ]
 
-    rendered: dict[int, tuple[list, list[str]]] = {}  # id of a row list -> (the list, its text)
+    rendered: dict[int, list[str]] = {}  # by id: the trajectories keep every row list alive
     texts = []
     for traj in trajectories:
         parts = ["step,action,node,psi,size\r\n"]
         chain = getattr(traj.steps, "chain", None)
         if chain is None:  # a plain list of numbered rows
-            parts += [f"{row[0]}{text}" for row, text in zip(traj.steps, render(row[1:] for row in traj.steps))]
+            after = render(row[1:] for row in traj.steps)
+            parts += [f"{row[0]}{text}" for row, text in zip(traj.steps, after)]
         else:
             step = 1
             for rows in chain:
-                entry = rendered.get(id(rows))
-                if entry is None:
-                    entry = rendered[id(rows)] = (rows, render(rows))
-                parts += [f"{n}{text}" for n, text in enumerate(entry[1], step)]
+                after = rendered.get(id(rows))
+                if after is None:
+                    after = rendered[id(rows)] = render(rows)
+                parts += [f"{n}{text}" for n, text in enumerate(after, step)]
                 step += len(rows)
         texts.append("".join(parts))
     return texts
