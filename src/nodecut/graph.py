@@ -91,11 +91,12 @@ class Graph:
         rank: position of each node index in order. Greedy tie-breaks and
             every output list read this one label order.
         components: number of connected components.
+        unit_weighted: whether every link weight is exactly 1.
     """
 
     __slots__ = (
         "n", "m", "labels", "adj", "degrees", "link_ends", "link_weights",
-        "order", "rank", "components", "_index",
+        "order", "rank", "components", "unit_weighted", "_index",
     )
 
     def __init__(self, labels, links):
@@ -154,6 +155,7 @@ class Graph:
         self.order = tuple(sorted(range(n), key=lambda i: label_sort_key(self.labels[i])))
         self.rank = tuple(sorted(range(n), key=self.order.__getitem__))  # inverse of order
         self.components = len(connected_components(self))
+        self.unit_weighted = all(w == 1.0 for w in weights)
 
     def index_of(self, label: str) -> int:
         """Internal index of a node label; KeyError if unknown."""
@@ -167,11 +169,6 @@ class Graph:
             if nbr == v:
                 return lid
         raise KeyError(f"no link ({u_label}, {v_label})")
-
-    @property
-    def unit_weighted(self) -> bool:
-        """True when every link weight is exactly 1."""
-        return all(w == 1.0 for w in self.link_weights)
 
     def link_label_pair(self, lid: int) -> tuple[str, str]:
         u, v = self.link_ends[lid]

@@ -44,12 +44,34 @@ rebuilding the state at K if a replayed phase left it elsewhere. Visits,
 records and the phase budget are kept per run either way, so a cached
 trajectory equals the uncached one, float for float.
 
+Descent memo. The phase cache starts at a run's first settled set; the
+first descent, from the seed link, is the one part of a run it cannot
+share, yet on unit weights most runs soon step onto a state an earlier
+run's first descent passed through. With unit weights every in_w, k_in and
+link count is an integer-valued float, so they, the frontier and every
+cached delta are exact functions of the member set whatever moves led to
+it; only sigma carries the rounding of its history. So the state after a
+move of a first descent, keyed by the kind of that move (after an add the
+run tests additions first, after a removal it goes on pruning), the member
+set as an int bitmask and sigma, fixes the rest of the descent float for
+float. run_all_seeds shares one such memo per sweep: a run whose first
+descent reaches a stored state appends the rest of that descent's rows (the
+same row tuples) and takes its settled set, exact psi and frontier flag,
+and rebuilds its state at that set before its next computed phase. On
+weighted graphs in_w depends on the order of the sums that made it, and an
+in_w in the key would cost more than the hits save, so the memo is neither
+read nor filled there. The sweep also interns settled sets, so every run
+keeps the same object for the same set.
+
 The random policy draws from the run's generator only to break a tie of two
 or more candidates, and ties are a function of the state. So a phase that
 drew nothing from (K, rank) in one run draws nothing in any run, and leaves
 its generator where it found it: such a phase is stored and replayed as
 under the deterministic policy. A phase that drew is never stored; every run
-that reaches it computes it with its own generator.
+that reaches it computes it with its own generator. Likewise a first-descent
+state enters the memo only if nothing was drawn from it to the end of the
+descent. The generator counts its draws, so a run tells either case from
+two counts.
 """
 
 from __future__ import annotations
@@ -90,7 +112,22 @@ class TieBreakPolicy(namedtuple("TieBreakPolicy", "mode rng_seed")):
         """Per-seed-link generator, independent of run scheduling."""
         if self.mode == "deterministic":
             return None
-        return random.Random(f"{self.rng_seed}:{link_id}")
+        return _CountingRandom(f"{self.rng_seed}:{link_id}")
+
+
+class _CountingRandom(random.Random):
+    """A run's tie-break generator that counts its draws: the calls of the
+    two methods greedy breaks ties with."""
+
+    draws = 0
+
+    def randrange(self, *args):
+        self.draws += 1
+        return super().randrange(*args)
+
+    def shuffle(self, x):
+        self.draws += 1
+        super().shuffle(x)
 
 
 class Trajectory(
@@ -114,6 +151,10 @@ class Trajectory(
 _Row = tuple[str, int | None, float, int]
 # A cached phase: (its rows, next settled set, its psi, frontier empty).
 _Phase = tuple[list[_Row], frozenset[int], float, bool]
+# A first descent, as the descent memo keeps it: (its run's rows, its row
+# count, its settled set, that set's psi, frontier empty). A memo entry is
+# (descent, row count at the state), so the descent's rest is rows[at:count].
+_Descent = tuple[list[_Row], int, frozenset[int], float, bool]
 
 
 class Steps(Sequence):
@@ -223,24 +264,31 @@ def prune(
             on_move("remove", choice)
 
 
+class _Replay(Exception):
+    """Raised when a first descent reaches a state the descent memo holds;
+    args[0] is that state's entry."""
+
+
 def run_from_seed(
     g: Graph,
     link_id: int,
     policy: TieBreakPolicy | None = None,
     cache: dict[tuple[frozenset[int], int], _Phase] | None = None,
+    memo: dict[tuple[str, int, float], tuple[_Descent, int]] | None = None,
+    interned: dict[frozenset[int], frozenset[int]] | None = None,
 ) -> Trajectory:
     """Run the full descent/prune/escape search from one seed link.
 
     A run that exhausts its phase budget returns like any other, with the
     budget message in failure (see the module docstring).
 
-    cands holds the current state's addition scores and is rebuilt after
-    every add, removing prune and recompute; each rebuild recomputes only
-    the deltas those moves made stale.
     cache, shared by the runs of one sweep over g, maps (settled set, escape
     rank) to the phase that follows (see the module docstring); under the
     random policy only phases that drew nothing from the run's generator are
-    stored.
+    stored. memo, shared likewise, maps each state that a first descent
+    passed through to the rest of that descent; it is read and filled only on
+    a unit-weight g. interned, shared likewise, maps each settled set to the
+    one object of it that every run keeps.
     """
     policy = policy or TieBreakPolicy()
     rng = policy.rng_for(link_id)
@@ -252,9 +300,23 @@ def run_from_seed(
     visits: dict[frozenset[int], int] = {}
     phases = 0
     max_phases = max(10 * g.n, 100)
+    # (memo key, row count, draws so far) after each move of the first descent
+    trail = [] if memo is not None and g.unit_weighted else None
+    mask = 1 << u | 1 << v  # the members as a bitmask, kept while trail is
+
+    def drawn() -> int:
+        return 0 if rng is None else rng.draws
 
     def log(action, node):
+        nonlocal mask
         own.append((action, node, state.psi, len(state.members)))
+        if trail is not None:
+            mask ^= 1 << node
+            key = (action, mask, state.sigma)
+            entry = memo.get(key)
+            if entry is not None:
+                raise _Replay(entry)
+            trail.append((key, len(own), drawn()))
 
     def add(x):
         """Add x and score the additions after it, as best_add's (delta, tie set)."""
@@ -274,9 +336,24 @@ def run_from_seed(
             if not best[0] < -MOVE_TOL:
                 break
         exact = state.recompute()  # recorded values never carry incremental drift
-        return state.nodes(), exact, not state.frontier
+        nodes = state.nodes()
+        if interned is not None:
+            nodes = interned.setdefault(nodes, nodes)
+        return nodes, exact, not state.frontier
 
-    key, exact, done = settle(state.best_add())
+    try:
+        key, exact, done = settle(state.best_add())
+    except _Replay as replay:
+        (rows, end, key, exact, done), at = replay.args[0]
+        own.extend(rows[at:end])
+        state = None  # the live state stopped short of key
+    if trail:
+        descent = (own, len(own), key, exact, done)
+        last = drawn()
+        for state_key, at, draws in trail:
+            if draws == last:  # nothing was drawn from this state on
+                memo[state_key] = (descent, at)
+    trail = None
     failure = None
     while True:
         seen = visits.get(key, 0)
@@ -298,16 +375,16 @@ def run_from_seed(
             rows, key, exact, done = phase
             chain.append(rows)
             continue
-        if state.members != key:
-            state = SubgraphState(g, key)  # a cached phase left the live state behind
-        before = rng.getstate() if rng is not None else None
+        if state is None or state.members != key:
+            state = SubgraphState(g, key)  # a replay left the live state behind
+        before = drawn()
         # climb out of the hollow, then fall into the next one
         best = add(_ranked(state, seen) if seen else _select(g, state.best_add()[1], rng))
         while best[1] and not best[0] < -MOVE_TOL:
             best = add(_select(g, best[1], rng))
         settled = settle(best)
         # a phase that broke a tie with a draw may go another way in another run
-        if cache is not None and (rng is None or rng.getstate() == before):
+        if cache is not None and drawn() == before:
             cache[key, seen] = (own, *settled)
             chain.append(own)
             own = []
@@ -329,7 +406,8 @@ def run_from_seed(
 def run_all_seeds(
     g: Graph, policy: TieBreakPolicy | None = None, jobs: int = 1
 ) -> DetectionResult:
-    """Run every link as a seed, sharing one phase cache, and merge the recorded minima.
+    """Run every link as a seed, sharing one phase cache, descent memo and
+    settled-set intern table, and merge the recorded minima.
 
     Minima are deduplicated by exact node set; seed_count is the number of
     runs, failed ones included, that recorded each one. The whole-graph
@@ -339,7 +417,11 @@ def run_all_seeds(
     """
     policy = policy or TieBreakPolicy()
     cache: dict[tuple[frozenset[int], int], _Phase] = {}
-    return merge_trajectories(g, [run_from_seed(g, lid, policy, cache) for lid in range(g.m)])
+    memo: dict[tuple[str, int, float], tuple[_Descent, int]] = {}
+    interned: dict[frozenset[int], frozenset[int]] = {}
+    return merge_trajectories(
+        g, [run_from_seed(g, lid, policy, cache, memo, interned) for lid in range(g.m)]
+    )
 
 
 def merge_trajectories(g: Graph, trajectories: list[Trajectory]) -> DetectionResult:

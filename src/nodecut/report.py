@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import re
+from json.encoder import encode_basestring_ascii
 
 from .errors import ReportError
 from .graph import ROOT, Community, Graph
@@ -154,8 +156,75 @@ def build_report(
 
 
 def dumps_report(doc: dict) -> str:
-    """Canonical JSON text of any nodecut document: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON text of any nodecut document: sorted keys, two-space indent, trailing newline.
+
+    The bytes of json.dumps(doc, sort_keys=True, indent=2) plus a newline,
+    for any document of dicts with string keys, lists, tuples, strings,
+    ints, floats, booleans and None. json.dumps takes its pure-Python
+    encoder whenever it indents; this writer walks the containers itself,
+    quotes each string with the C function json uses, and joins each list
+    of strings in one call.
+    """
+    out: list[str] = []
+    _write_json(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    """Append value's JSON text to out; newline is a line break plus the indent of value's line."""
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        try:  # a list of strings, in one join
+            out.append("[" + inner + ("," + inner).join(map(encode_basestring_ascii, value)) + newline + "]")
+            return
+        except TypeError:  # some item is not a string
+            pass
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    else:
+        out.append(_scalar_json(value))
+
+
+def _scalar_json(value) -> str:
+    """JSON text of None, a boolean, an int or a float, as json.dumps writes it."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def load_report(path: str) -> dict:

@@ -4,7 +4,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nodecut import (
@@ -297,15 +297,17 @@ def test_a_run_that_exhausts_its_budget_returns_its_trajectory():
     st.booleans(),
     st.sampled_from([None, 0, 1]),
 )
+@example(n=32, seed=0, weighted=False, rng_seed=0)  # a replay from a state already at its settled set
 def test_shared_phase_cache_changes_no_trajectory(n, seed, weighted, rng_seed):
-    """Every seed run with one shared cache equals the uncached run, float for
-    float, under the deterministic policy (rng_seed None) and the random one."""
+    """Every seed run with one shared phase cache, descent memo and intern
+    table equals the uncached run, float for float, under the deterministic
+    policy (rng_seed None) and the random one."""
     rng = random.Random(seed)
     make = random_weighted_graph if weighted else random_connected_graph
     g = make(rng, n, rng.randrange(0, 2 * n))
     policy = None if rng_seed is None else TieBreakPolicy("random", rng_seed)
-    cache = {}
-    cached = [run_from_seed(g, link_id, policy, cache) for link_id in range(g.m)]
+    cache, memo, interned = {}, {}, {}
+    cached = [run_from_seed(g, link_id, policy, cache, memo, interned) for link_id in range(g.m)]
     assert cached == [run_from_seed(g, link_id, policy) for link_id in range(g.m)]
 
 
@@ -421,6 +423,89 @@ def test_phases_that_draw_are_recomputed_by_every_run(karate):
     cached = [run_from_seed(karate, link_id, policy, cache) for link_id in range(karate.m)]
     assert cache == {}
     assert cached == [run_from_seed(karate, link_id, policy) for link_id in range(karate.m)]
+
+
+def memo_sweep(g, policy):
+    """Every seed run of g with a shared phase cache and descent memo, and the memo."""
+    cache, memo = {}, {}
+    return [run_from_seed(g, link_id, policy, cache, memo) for link_id in range(g.m)], memo
+
+
+@pytest.mark.parametrize(
+    "policy", [TieBreakPolicy(), TieBreakPolicy("random", 1)], ids=["det", "rng"]
+)
+def test_the_descent_memo_replays_first_descents(karate, policy):
+    """On unit weights a run whose first descent reaches a stored state appends
+    that descent's rows themselves; on weighted graphs the memo stays empty."""
+    runs, memo = memo_sweep(karate, policy)
+    assert memo
+    earlier = set()
+    replays = 0
+    for t in runs:
+        first = t.steps.chain[0]
+        replays += any(id(row) in earlier for row in first)
+        earlier.update(map(id, first))
+    assert replays
+    assert runs == [run_from_seed(karate, link_id, policy) for link_id in range(karate.m)]
+    weighted = random_weighted_graph(random.Random(5), 30, 45)
+    runs, memo = memo_sweep(weighted, policy)
+    assert memo == {}
+    assert runs == [run_from_seed(weighted, link_id, policy) for link_id in range(weighted.m)]
+
+
+def rest_of_descent(g, memo_key, rng):
+    """The rows, settled set, exact psi and frontier flag of a first descent
+    from the state memo_key names, computed from a fresh state at its member
+    set and sigma one selected move at a time."""
+    kind, mask, sigma = memo_key
+    state = SubgraphState(g, [i for i in range(g.n) if mask >> i & 1])
+    state.sigma = sigma
+    rows = []
+
+    def log(action, x):
+        rows.append((action, x, state.psi, len(state.members)))
+
+    def downhill():
+        scores = state.add_scores()
+        return bool(scores) and min(scores)[0] < -MOVE_TOL
+
+    going = True
+    if kind == "remove":  # the run was pruning: go on, then descend only if downhill
+        prune(state, rng, on_move=log)
+        going = downhill()
+    while going:
+        while downhill():
+            _, x = reference_select(g, state.add_scores(), rng)
+            state.apply_add(x)
+            log("add", x)
+        going = bool(prune(state, rng, on_move=log)) and downhill()
+    exact = state.recompute()
+    return rows, state.nodes(), exact, not state.frontier
+
+
+@pytest.mark.parametrize(
+    "policy", [TieBreakPolicy(), TieBreakPolicy("random", 1)], ids=["det", "rng"]
+)
+def test_a_memo_state_fixes_the_rest_of_its_descent(karate, policy):
+    """On unit weights (kind of the last move, member set, sigma) fixes the rest
+    of a first descent, float for float; under the random policy a state is
+    stored only if nothing was drawn from it on, so the rest leaves any
+    generator untouched."""
+    graphs = [karate, random_connected_graph(random.Random(8), 40, 60)]
+    for g in graphs:
+        _, memo = memo_sweep(g, policy)
+        for memo_key, ((rows, end, nodes, exact, done), at) in memo.items():
+            gen = None if policy.mode == "deterministic" else random.Random("other")
+            before = gen and gen.getstate()
+            assert rest_of_descent(g, memo_key, gen) == (rows[at:end], nodes, exact, done)
+            assert gen is None or gen.getstate() == before
+
+
+def test_a_sweep_keeps_one_object_per_settled_set():
+    g = random_connected_graph(random.Random(3), 60, 120)
+    trajectories = run_all_seeds(g).trajectories
+    sets = [nodes for t in trajectories for nodes in (*t.minima, t.final_nodes)]
+    assert len({id(nodes) for nodes in sets}) == len(set(sets))
 
 
 @pytest.mark.parametrize(

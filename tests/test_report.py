@@ -1,14 +1,15 @@
-"""Label order in reports, and reports of plain and chained trajectory steps."""
+"""Label order in reports, reports of plain and chained trajectory steps, and report JSON text."""
 
 import json
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from nodecut import Graph, TieBreakPolicy, cli
 from nodecut.graph import label_sort_key
 from nodecut.report import (
     build_report,
+    dumps_report,
     link_label_pairs,
     sorted_labels,
     trajectory_csvs,
@@ -107,3 +108,23 @@ def test_plain_step_lists_report_like_their_chains(karate, karate_result):
         return report, rows, trajectory_csvs(karate, result.trajectories)
 
     assert outputs(plain) == outputs(karate_result)
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(), st.text(alphabet="aé\u2603\U0001f600\"\\\n")
+)
+JSON_DOCUMENTS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(st.text(), max_size=5)
+    | st.dictionaries(st.text(), inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@given(st.dictionaries(st.text(), JSON_DOCUMENTS, max_size=5))
+@example({"é": [float("nan"), float("inf"), -float("inf"), -0.0, 1e300, [], {}, [[]], True, None, 10**30]})
+def test_dumps_report_writes_the_bytes_of_json_dumps(doc):
+    """Nested dicts and lists of non-ASCII strings, ints, floats (NaN and
+    infinities too), booleans and None, empty containers included."""
+    assert dumps_report(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
