@@ -35,10 +35,7 @@ _EXPORTS = {
         " merge_trajectories"
     ),
     "landscape": "enumerate_connected_subgraphs exact_local_minima verify_local_minimum",
-    "hierarchy": (
-        "OverlapRelation PolyhierarchyDag classify_overlap cover_check build_polyhierarchy"
-        " dag_to_dot"
-    ),
+    "hierarchy": "PolyhierarchyDag classify_overlap build_polyhierarchy dag_to_dot",
 }
 _SOURCES = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -225,6 +225,8 @@ def cmd_oracle(args) -> int:
     from .psi import psi
     from .report import communities_from_report, dumps_report, load_report, round12, same_graph_size, sorted_labels
 
+    if args.max_nodes is not None and args.max_nodes < 2:  # every graph with a link has two nodes
+        _fail(2, "usage", f"--max-nodes must be at least 2, not {args.max_nodes}")
     g, source = _load_graph(args)
     _check_output_path(args.out)
     max_nodes = None if args.force else (DEFAULT_MAX_NODES if args.max_nodes is None else args.max_nodes)

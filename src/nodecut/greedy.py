@@ -137,11 +137,11 @@ class Trajectory(
 
     seed is the (u, v) node pair of link link_id. steps holds (step, action,
     node, psi, size) with action one of "add", "remove", "record-minimum";
-    node is None on record rows. A run's steps are a Steps chain; a plain
-    list of such rows reads the same everywhere. minima lists recorded node
-    sets in order of first discovery. The run ends at final_nodes with cut
-    value final_psi; covers_graph is whether that is every node. failure is
-    None, or the message of a run that exhausted its phase budget.
+    node is None on record rows. A run's steps are a Steps chain. minima
+    lists recorded node sets in order of first discovery. The run ends at
+    final_nodes with cut value final_psi; covers_graph is whether that is
+    every node. failure is None, or the message of a run that exhausted its
+    phase budget.
     """
 
     __slots__ = ()
@@ -155,6 +155,16 @@ _Phase = tuple[list[_Row], frozenset[int], float, bool]
 # count, its settled set, that set's psi, frontier empty). A memo entry is
 # (descent, row count at the state), so the descent's rest is rows[at:count].
 _Descent = tuple[list[_Row], int, frozenset[int], float, bool]
+
+
+class _Sweep(namedtuple("_Sweep", "cache memo interned")):
+    """The tables the runs of one sweep over a graph share: the phase cache,
+    mapping (settled set, escape rank) to a _Phase; the descent memo, mapping
+    (kind of the last move, member bitmask, sigma) to (a _Descent, the row
+    count at that state); and the intern table, mapping each settled set to
+    the one object of it that every run keeps."""
+
+    __slots__ = ()
 
 
 class Steps(Sequence):
@@ -273,24 +283,24 @@ def run_from_seed(
     g: Graph,
     link_id: int,
     policy: TieBreakPolicy | None = None,
-    cache: dict[tuple[frozenset[int], int], _Phase] | None = None,
-    memo: dict[tuple[str, int, float], tuple[_Descent, int]] | None = None,
-    interned: dict[frozenset[int], frozenset[int]] | None = None,
+    sweep: _Sweep | None = None,
 ) -> Trajectory:
     """Run the full descent/prune/escape search from one seed link.
 
     A run that exhausts its phase budget returns like any other, with the
     budget message in failure (see the module docstring).
 
-    cache, shared by the runs of one sweep over g, maps (settled set, escape
-    rank) to the phase that follows (see the module docstring); under the
-    random policy only phases that drew nothing from the run's generator are
-    stored. memo, shared likewise, maps each state that a first descent
-    passed through to the rest of that descent; it is read and filled only on
-    a unit-weight g. interned, shared likewise, maps each settled set to the
-    one object of it that every run keeps.
+    sweep holds the tables that the runs of one sweep over g share (see the
+    module docstring); without one the run gets fresh tables. A run never
+    reads an entry it stored itself: no (settled set, escape rank) key
+    repeats within a run, since the rank is the set's earlier visit count,
+    and a run reads the descent memo only in its first descent, before it
+    writes to it. So a run with fresh tables runs as if it shared nothing.
+    Under the random policy only phases that drew nothing from the run's
+    generator are stored; the memo is read and filled only on a unit-weight g.
     """
     policy = policy or TieBreakPolicy()
+    cache, memo, interned = sweep or _Sweep({}, {}, {})
     rng = policy.rng_for(link_id)
     u, v = g.link_ends[link_id]
     state = SubgraphState(g, {u, v})
@@ -301,7 +311,7 @@ def run_from_seed(
     phases = 0
     max_phases = max(10 * g.n, 100)
     # (memo key, row count, draws so far) after each move of the first descent
-    trail = [] if memo is not None and g.unit_weighted else None
+    trail = [] if g.unit_weighted else None
     mask = 1 << u | 1 << v  # the members as a bitmask, kept while trail is
 
     def drawn() -> int:
@@ -337,9 +347,7 @@ def run_from_seed(
                 break
         exact = state.recompute()  # recorded values never carry incremental drift
         nodes = state.nodes()
-        if interned is not None:
-            nodes = interned.setdefault(nodes, nodes)
-        return nodes, exact, not state.frontier
+        return interned.setdefault(nodes, nodes), exact, not state.frontier
 
     try:
         key, exact, done = settle(state.best_add())
@@ -370,7 +378,7 @@ def run_from_seed(
         if own:  # the phase's rows get a list of their own, which the cache may share
             chain.append(own)
             own = []
-        phase = cache.get((key, seen)) if cache is not None else None
+        phase = cache.get((key, seen))
         if phase is not None:
             rows, key, exact, done = phase
             chain.append(rows)
@@ -384,7 +392,7 @@ def run_from_seed(
             best = add(_select(g, best[1], rng))
         settled = settle(best)
         # a phase that broke a tie with a draw may go another way in another run
-        if cache is not None and drawn() == before:
+        if drawn() == before:
             cache[key, seen] = (own, *settled)
             chain.append(own)
             own = []
@@ -416,12 +424,8 @@ def run_all_seeds(
     and has no effect: every sweep runs in this process.
     """
     policy = policy or TieBreakPolicy()
-    cache: dict[tuple[frozenset[int], int], _Phase] = {}
-    memo: dict[tuple[str, int, float], tuple[_Descent, int]] = {}
-    interned: dict[frozenset[int], frozenset[int]] = {}
-    return merge_trajectories(
-        g, [run_from_seed(g, lid, policy, cache, memo, interned) for lid in range(g.m)]
-    )
+    sweep = _Sweep({}, {}, {})
+    return merge_trajectories(g, [run_from_seed(g, lid, policy, sweep) for lid in range(g.m)])
 
 
 def merge_trajectories(g: Graph, trajectories: list[Trajectory]) -> DetectionResult:

@@ -28,24 +28,20 @@ from json.encoder import encode_basestring_ascii
 from .graph import ROOT, Community, Graph, dot_text
 
 __all__ = [
-    "OverlapRelation",
     "PolyhierarchyDag",
     "classify_overlap",
-    "cover_check",
     "build_polyhierarchy",
     "dag_to_dot",
     "hierarchy_json",
 ]
 
 
-class OverlapRelation(namedtuple("OverlapRelation", "kind shared_nodes shared_links")):
-    """kind is "disjoint", "nested", "boundary-overlap" or "permeating"; the rest are frozensets."""
+def classify_overlap(a, b, a_boundary, b_boundary) -> str:
+    """Kind of the relation between two distinct communities' node sets, given
+    as frozensets or as int bitsets with their boundaries; symmetric in a and b.
 
-    __slots__ = ()
-
-
-def _overlap_kind(a, b, a_boundary, b_boundary) -> str:
-    """The one classification rule, for node sets given as frozensets or as int bitsets."""
+    One of "nested", "disjoint", "boundary-overlap" or "permeating".
+    """
     shared = a & b
     if shared == a or shared == b:
         return "nested"
@@ -54,20 +50,6 @@ def _overlap_kind(a, b, a_boundary, b_boundary) -> str:
     if shared & a_boundary & b_boundary == shared:
         return "boundary-overlap"
     return "permeating"
-
-
-def classify_overlap(a: Community, b: Community) -> OverlapRelation:
-    """Relation between two distinct communities; symmetric in its arguments."""
-    return OverlapRelation(
-        kind=_overlap_kind(a.nodes, b.nodes, a.boundary, b.boundary),
-        shared_nodes=a.nodes & b.nodes,
-        shared_links=a.links & b.links,
-    )
-
-
-def cover_check(g: Graph, a: Community, b: Community) -> bool:
-    """True iff the two node sets together cover every node of the graph."""
-    return len(a.nodes | b.nodes) == g.n
 
 
 class PolyhierarchyDag(namedtuple("PolyhierarchyDag", "names node_sets edges")):
@@ -189,7 +171,7 @@ def hierarchy_json(
             '{\n      "a": ' + a
             + ',\n      "b": ' + b
             + ',\n      "covers_graph": ' + ("true" if na | nb == full else "false")
-            + ',\n      "kind": "' + _overlap_kind(na, nb, ba, bb)
+            + ',\n      "kind": "' + classify_overlap(na, nb, ba, bb)
             + '",\n      "shared_links": ' + _list_text(la & lb, link_text)
             + ',\n      "shared_nodes": ' + _list_text(na & nb, node_text)
             + "\n    }"

@@ -230,9 +230,9 @@ def _scalar_json(value) -> str:
 def load_report(path: str) -> dict:
     """Read a report and check the structure every reader of it relies on.
 
-    Raises ReportError when the file is unreadable, not UTF-8 or not JSON, or
+    Raises ReportError when the file is unreadable, not UTF-8 or not JSON,
     lacks the graph block (integer n and m, a labels list) or the communities
-    list.
+    list, or repeats a label.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -247,6 +247,8 @@ def load_report(path: str) -> dict:
     for key, kind in (("n", int), ("m", int), ("labels", list)):
         if not isinstance(graph.get(key), kind) or isinstance(graph[key], bool):
             raise ReportError(f"report {path}: graph.{key} is missing or not a {kind.__name__}")
+    if len(set(map(str, graph["labels"]))) < len(graph["labels"]):
+        raise ReportError(f"report {path}: graph.labels repeats a label")
     if not isinstance(report["communities"], list):
         raise ReportError(f"report {path}: communities is not a list")
     return report
@@ -316,34 +318,27 @@ def communities_from_report(g: Graph, report: dict) -> tuple[list[Community], li
     return out, names
 
 
-def trajectory_rows(g: Graph, traj: Trajectory) -> list[tuple[str, str, str, str, str]]:
-    """CSV rows (step, action, node, psi, size) for one run."""
-    rows = []
-    for step, action, node, value, size in traj.steps:
-        rows.append(
-            (
-                str(step),
-                action,
-                "" if node is None else g.labels[node],
-                f"{value:.12g}",
-                str(size),
-            )
-        )
-    return rows
-
-
 def trajectory_file_name(g: Graph, traj: Trajectory) -> str:
     """CSV file name of one run, seed-<link id>-<u>-<v>.csv, with path-unsafe label characters as _."""
     u, v = (re.sub(r"[^A-Za-z0-9_.-]", "_", g.labels[i]) for i in traj.seed)
     return f"seed-{traj.link_id:04d}-{u}-{v}.csv"
 
 
-def trajectory_csvs(g: Graph, trajectories) -> list[str]:
-    """CSV text of each run: a header row, then its trajectory_rows; lines end in CRLF.
+def trajectory_rows(fields: list[str], rows) -> list[str]:
+    """The CSV text after the step number of each (action, node, psi, size)
+    row; fields holds each node's label as a CSV field."""
+    return [
+        f",{action},{'' if node is None else fields[node]},{value:.12g},{size}\r\n"
+        for action, node, value, size in rows
+    ]
 
-    The step numbers are prefixed to each row list's rendered rows, so a row
-    list that runs share through a Steps chain (nodecut.greedy) is rendered
-    once, and so is each label's field.
+
+def trajectory_csvs(g: Graph, trajectories) -> list[str]:
+    """CSV text of each run: a header row, then a row per step; lines end in CRLF.
+
+    Each label's CSV field is rendered once, and each row list of the runs'
+    Steps chains (nodecut.greedy) goes through trajectory_rows once, however
+    many runs share it; each run prefixes its step numbers to those rows.
     """
     import csv  # only detect --trajectories writes CSV
 
@@ -353,29 +348,16 @@ def trajectory_csvs(g: Graph, trajectories) -> list[str]:
         return buf.getvalue()[1:-2]
 
     fields = [field(label) for label in g.labels]
-
-    def render(rows) -> list[str]:
-        """The CSV text after the step number of each (action, node, psi, size) row."""
-        return [
-            f",{action},{'' if node is None else fields[node]},{value:.12g},{size}\r\n"
-            for action, node, value, size in rows
-        ]
-
     rendered: dict[int, list[str]] = {}  # by id: the trajectories keep every row list alive
     texts = []
     for traj in trajectories:
         parts = ["step,action,node,psi,size\r\n"]
-        chain = getattr(traj.steps, "chain", None)
-        if chain is None:  # a plain list of numbered rows
-            after = render(row[1:] for row in traj.steps)
-            parts += [f"{row[0]}{text}" for row, text in zip(traj.steps, after)]
-        else:
-            step = 1
-            for rows in chain:
-                after = rendered.get(id(rows))
-                if after is None:
-                    after = rendered[id(rows)] = render(rows)
-                parts += [f"{n}{text}" for n, text in enumerate(after, step)]
-                step += len(rows)
+        step = 1
+        for rows in traj.steps.chain:
+            after = rendered.get(id(rows))
+            if after is None:
+                after = rendered[id(rows)] = trajectory_rows(fields, rows)
+            parts += [f"{n}{text}" for n, text in enumerate(after, step)]
+            step += len(rows)
         texts.append("".join(parts))
     return texts

@@ -287,9 +287,13 @@ def test_criterion_09_hierarchy(karate, karate_result, karate_named):
                      ("C1", "C2"), ("C1", "C7")):
         assert required in edges
     assert sorted(p for p, c in dag.edges if c == "C7") == ["C1", "C3"]
-    assert classify_overlap(karate_named["C1"], karate_named["C3"]).kind == "permeating"
-    assert classify_overlap(karate_named["C2"], karate_named["C3"]).kind == "boundary-overlap"
-    assert classify_overlap(karate_named["C1"], karate_named["C4"]).kind == "boundary-overlap"
+    for a, b, kind in (
+        ("C1", "C3", "permeating"),
+        ("C2", "C3", "boundary-overlap"),
+        ("C1", "C4", "boundary-overlap"),
+    ):
+        ca, cb = karate_named[a], karate_named[b]
+        assert classify_overlap(ca.nodes, cb.nodes, ca.boundary, cb.boundary) == kind
 
 
 @criterion(10, "determinism: byte-identical reports across runs and --jobs")

@@ -211,6 +211,20 @@ def test_oracle_cap_exit_4(tmp_path, capsys):
     assert code == 0 and json.loads(out)["count"] > 0
 
 
+@pytest.mark.parametrize("cap", ["-1", "0", "1"])
+def test_oracle_cap_below_two_is_a_usage_error(tmp_path, capsys, cap):
+    """No graph with a link fits under a cap of fewer than two nodes, --force or not."""
+    edges = tmp_path / "twotri.edges"
+    edges.write_text(TWO_TRIANGLES)
+    for force in ([], ["--force"]):
+        code, out, err = run_cli(["oracle", str(edges), "--max-nodes", cap, *force], capsys)
+        _assert_one_error(code, err, "usage")
+        assert f"--max-nodes must be at least 2, not {cap}" in err
+        assert out == ""
+    code, out, _ = run_cli(["oracle", "--max-nodes", "2", str(edges)], capsys)
+    assert code == 4
+
+
 def test_oracle_compare_sound(tmp_path, capsys):
     edges = tmp_path / "twotri.edges"
     edges.write_text(TWO_TRIANGLES)
@@ -351,6 +365,8 @@ MALFORMED_REPORTS = {
     "entry-without-name": _edit("communities", 0, "name"),
     "no-graph-n": _edit("graph", "n"),
     "duplicate-name": _edit("communities", 1, "name", value="C1"),
+    # hierarchy would otherwise run on a stand-in graph with an extra, isolated node
+    "duplicate-label": lambda report: _edit("graph", "labels", value=[*report["graph"]["labels"], "1"])(report),
     "node-not-in-graph": _edit("communities", 0, "nodes", value=["1", "2", "3", "99"]),
     # one-character labels, so iterating the strings would name the same nodes and links
     "nodes-a-string": lambda report: _edit(

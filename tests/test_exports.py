@@ -66,18 +66,37 @@ def test_bench_patch_targets_resolve():
 
 
 def test_traced_commands_run(tmp_path):
-    """detect and verify under the tracer, as ``bench/run.py --trace 1`` runs them."""
+    """detect, verify and hierarchy under the tracer, as ``bench/run.py --trace 1`` runs them.
+
+    The spanned names are the code the commands run: hierarchy --json
+    classifies each community pair once, and detect --trajectories renders
+    CSV rows.
+    """
     edges = tmp_path / "twotri.edges"
     edges.write_text(TWO_TRIANGLES)
     report = tmp_path / "report.json"
+    karate = tmp_path / "karate.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    spans = {}
     for name, args in (
         ("detect", ["detect", str(edges), "--out", str(report)]),
         ("verify", ["verify", str(edges), "--report", str(report)]),
+        (
+            "trajectories",
+            ["detect", "--dataset", "karate", "--out", str(karate), "--trajectories", str(tmp_path / "traj")],
+        ),
+        ("hierarchy", ["hierarchy", "--report", str(karate), "--json", str(tmp_path / "pairs.json")]),
     ):
         trace = tmp_path / f"{name}.json"
         argv = [sys.executable, str(ROOT / "bench" / "traced_cli.py"), str(trace), name, "cli", *args]
         proc = subprocess.run(argv, env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(trace.read_text())["exit"] == 0
+        doc = json.loads(trace.read_text())
+        assert doc["exit"] == 0
+        spans[name] = [span[0] for span in doc["spans"]]
     assert json.loads((tmp_path / "detect.json").read_text())["greedy"][0]["communities"] == 2
+    assert "report.trajectory_rows" in spans["trajectories"]
+    assert "report.trajectory_rows" not in spans["detect"]
+    communities = len(json.loads(karate.read_text())["communities"])
+    assert communities == 7
+    assert spans["hierarchy"].count("hierarchy.classify_overlap") == communities * (communities - 1) // 2

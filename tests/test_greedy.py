@@ -13,7 +13,6 @@ from nodecut import (
     TieBreakPolicy,
     Trajectory,
     build_polyhierarchy,
-    classify_overlap,
     is_connected,
     load_edge_list,
     prune,
@@ -22,7 +21,7 @@ from nodecut import (
     run_from_seed,
     verify_local_minimum,
 )
-from nodecut.greedy import Steps, _ranked, _select
+from nodecut.greedy import Steps, _ranked, _select, _Sweep
 from nodecut.psi import MOVE_TOL
 from conftest import (
     KARATE_NODES,
@@ -306,8 +305,8 @@ def test_shared_phase_cache_changes_no_trajectory(n, seed, weighted, rng_seed):
     make = random_weighted_graph if weighted else random_connected_graph
     g = make(rng, n, rng.randrange(0, 2 * n))
     policy = None if rng_seed is None else TieBreakPolicy("random", rng_seed)
-    cache, memo, interned = {}, {}, {}
-    cached = [run_from_seed(g, link_id, policy, cache, memo, interned) for link_id in range(g.m)]
+    sweep = _Sweep({}, {}, {})
+    cached = [run_from_seed(g, link_id, policy, sweep) for link_id in range(g.m)]
     assert cached == [run_from_seed(g, link_id, policy) for link_id in range(g.m)]
 
 
@@ -317,9 +316,9 @@ def test_phase_cache_keys_on_the_escape_rank():
     rng = random.Random(262)
     n = rng.randrange(4, 41)
     g = random_weighted_graph(rng, n, rng.randrange(0, 2 * n))
-    cache = {}
-    cached = [run_from_seed(g, link_id, None, cache) for link_id in range(g.m)]
-    assert any(rank for _, rank in cache), "some run revisits a settled set"
+    sweep = _Sweep({}, {}, {})
+    cached = [run_from_seed(g, link_id, None, sweep) for link_id in range(g.m)]
+    assert any(rank for _, rank in sweep.cache), "some run revisits a settled set"
     assert cached == [run_from_seed(g, link_id) for link_id in range(g.m)]
 
 
@@ -327,19 +326,20 @@ def test_a_miss_after_a_replayed_phase_rebuilds_the_state(karate):
     """A replayed phase leaves the live state at the earlier settled set; the
     next phase, if not cached, must start from the set the replay ended on."""
     link_id = karate.find_link("25", "26")
-    cache = {}
-    plain = run_from_seed(karate, link_id, None, cache)
-    second = list(cache)[1]  # the phase after the first one, in run order
-    del cache[second]
-    assert run_from_seed(karate, link_id, None, cache) == plain
-    assert second in cache
+    sweep = _Sweep({}, {}, {})
+    plain = run_from_seed(karate, link_id, None, sweep)
+    second = list(sweep.cache)[1]  # the phase after the first one, in run order
+    del sweep.cache[second]
+    # a fresh memo, so the first descent runs live and leaves the state at its settled set
+    assert run_from_seed(karate, link_id, None, sweep._replace(memo={})) == plain
+    assert second in sweep.cache
 
 
 def test_a_replayed_phase_chains_the_cache_rows_themselves(karate):
     """A run that replays a cached phase chains the cache's row list, not a copy."""
-    cache = {}
-    runs = [run_from_seed(karate, link_id, None, cache) for link_id in range(karate.m)]
-    phases = [rows for rows, *_ in cache.values()]
+    sweep = _Sweep({}, {}, {})
+    runs = [run_from_seed(karate, link_id, None, sweep) for link_id in range(karate.m)]
+    phases = [rows for rows, *_ in sweep.cache.values()]
     chained = [rows for t in runs for rows in t.steps.chain if any(rows is p for p in phases)]
     # the run that computes a phase chains its list once; every replay chains it again
     assert len(chained) > len(phases)
@@ -403,10 +403,10 @@ def test_random_policy_caches_only_phases_that_draw_nothing():
     rng = random.Random(5)
     g = random_weighted_graph(rng, 30, 45)
     policy = TieBreakPolicy("random", 1)
-    cache = {}
-    cached = [run_from_seed(g, link_id, policy, cache) for link_id in range(g.m)]
-    assert cache, "weighted scores seldom tie, so most phases draw nothing"
-    for (key, rank), phase in cache.items():
+    sweep = _Sweep({}, {}, {})
+    cached = [run_from_seed(g, link_id, policy, sweep) for link_id in range(g.m)]
+    assert sweep.cache, "weighted scores seldom tie, so most phases draw nothing"
+    for (key, rank), phase in sweep.cache.items():
         for rng_seed in ("a", "b"):
             gen = random.Random(rng_seed)
             before = gen.getstate()
@@ -419,16 +419,16 @@ def test_phases_that_draw_are_recomputed_by_every_run(karate):
     """Unit weights tie often: karate's phases under the random policy draw,
     so none is stored, and every run follows its own generator."""
     policy = TieBreakPolicy("random", 1)
-    cache = {}
-    cached = [run_from_seed(karate, link_id, policy, cache) for link_id in range(karate.m)]
-    assert cache == {}
+    sweep = _Sweep({}, {}, {})
+    cached = [run_from_seed(karate, link_id, policy, sweep) for link_id in range(karate.m)]
+    assert sweep.cache == {}
     assert cached == [run_from_seed(karate, link_id, policy) for link_id in range(karate.m)]
 
 
 def memo_sweep(g, policy):
-    """Every seed run of g with a shared phase cache and descent memo, and the memo."""
-    cache, memo = {}, {}
-    return [run_from_seed(g, link_id, policy, cache, memo) for link_id in range(g.m)], memo
+    """Every seed run of g with one shared sweep, and the sweep's descent memo."""
+    sweep = _Sweep({}, {}, {})
+    return [run_from_seed(g, link_id, policy, sweep) for link_id in range(g.m)], sweep.memo
 
 
 @pytest.mark.parametrize(
@@ -629,10 +629,10 @@ def test_tie_break_policy_validation():
 
 
 def test_records_keep_their_value_semantics(karate, karate_result):
-    """Equality, hashing, pickling, immutability and defaults of the six records."""
+    """Equality, hashing, pickling, immutability and defaults of the five records."""
     communities = karate_result.communities
     dag = build_polyhierarchy(karate, communities, [f"C{i + 1}" for i in range(len(communities))])
-    frozen = [TieBreakPolicy("random", 3), communities[0], classify_overlap(communities[0], communities[2])]
+    frozen = [TieBreakPolicy("random", 3), communities[0]]
     holding_lists = [karate_result.trajectories[0], karate_result, dag]
     for record in frozen + holding_lists:
         copy = pickle.loads(pickle.dumps(record))

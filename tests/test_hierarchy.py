@@ -1,5 +1,6 @@
-"""Overlap classification and the containment polyhierarchy."""
+"""Overlap classification, the pairs document and the containment polyhierarchy."""
 
+import json
 import random
 
 from nodecut import (
@@ -7,71 +8,85 @@ from nodecut import (
     Graph,
     build_polyhierarchy,
     classify_overlap,
-    cover_check,
     dag_to_dot,
     load_edge_list,
 )
-from conftest import KARATE_NODES, labels_of
+from nodecut.hierarchy import hierarchy_json
+from conftest import KARATE_NODES
 
 
-def named(karate_named, name):
-    return karate_named[name]
+def kind(a, b):
+    return classify_overlap(a.nodes, b.nodes, a.boundary, b.boundary)
 
 
-def test_c2_c3_boundary_overlap(karate, karate_named):
-    rel = classify_overlap(karate_named["C2"], karate_named["C3"])
-    assert rel.kind == "boundary-overlap"
-    assert labels_of(karate, rel.shared_nodes) == {"3", "9", "14", "20", "31", "32"}
-    shared_pairs = {karate.link_label_pair(lid) for lid in rel.shared_links}
-    assert shared_pairs == {("3", "9"), ("3", "14"), ("9", "31")}
+def bits(nodes):
+    return sum(1 << i for i in nodes)
 
 
-def test_c1_c4_boundary_overlap(karate, karate_named):
-    rel = classify_overlap(karate_named["C1"], karate_named["C4"])
-    assert rel.kind == "boundary-overlap"
-    assert labels_of(karate, rel.shared_nodes) == {"1"}
-    assert rel.shared_links == frozenset()
+def karate_pairs(karate, karate_result):
+    """The hierarchy --json pairs of the karate communities, by (a, b) name."""
+    names = [f"C{i + 1}" for i in range(len(karate_result.communities))]
+    dag = build_polyhierarchy(karate, karate_result.communities, names)
+    doc = json.loads("".join(hierarchy_json(karate, dag, karate_result.communities)))
+    return {(p["a"], p["b"]): p for p in doc["pairs"]}
+
+
+def test_c2_c3_boundary_overlap(karate, karate_result, karate_named):
+    assert kind(karate_named["C2"], karate_named["C3"]) == "boundary-overlap"
+    pair = karate_pairs(karate, karate_result)["C2", "C3"]
+    assert pair["kind"] == "boundary-overlap"
+    assert set(pair["shared_nodes"]) == {"3", "9", "14", "20", "31", "32"}
+    assert {tuple(p) for p in pair["shared_links"]} == {("3", "9"), ("3", "14"), ("9", "31")}
+
+
+def test_c1_c4_boundary_overlap(karate, karate_result, karate_named):
+    assert kind(karate_named["C1"], karate_named["C4"]) == "boundary-overlap"
+    pair = karate_pairs(karate, karate_result)["C1", "C4"]
+    assert pair["kind"] == "boundary-overlap"
+    assert pair["shared_nodes"] == ["1"]
+    assert pair["shared_links"] == []
 
 
 def test_c1_c3_permeating(karate_named):
-    assert classify_overlap(karate_named["C1"], karate_named["C3"]).kind == "permeating"
+    assert kind(karate_named["C1"], karate_named["C3"]) == "permeating"
 
 
 def test_c5_c6_disjoint(karate_named):
-    assert classify_overlap(karate_named["C5"], karate_named["C6"]).kind == "disjoint"
+    assert kind(karate_named["C5"], karate_named["C6"]) == "disjoint"
 
 
 def test_nested_takes_precedence(karate_named):
-    assert classify_overlap(karate_named["C2"], karate_named["C5"]).kind == "nested"
-    assert classify_overlap(karate_named["C1"], karate_named["C7"]).kind == "nested"
+    assert kind(karate_named["C2"], karate_named["C5"]) == "nested"
+    assert kind(karate_named["C1"], karate_named["C7"]) == "nested"
 
 
 def test_classify_is_symmetric(karate_named):
+    """The same kind either way round, and for int bitsets as for frozensets."""
     names = sorted(KARATE_NODES)
     for a in names:
         for b in names:
             if a == b:
                 continue
-            ab = classify_overlap(karate_named[a], karate_named[b])
-            ba = classify_overlap(karate_named[b], karate_named[a])
-            assert ab.kind == ba.kind
-            assert ab.shared_nodes == ba.shared_nodes
-            assert ab.shared_links == ba.shared_links
+            ca, cb = karate_named[a], karate_named[b]
+            ab = kind(ca, cb)
+            assert kind(cb, ca) == ab
+            assert classify_overlap(bits(ca.nodes), bits(cb.nodes), bits(ca.boundary), bits(cb.boundary)) == ab
 
 
 def test_shared_node_inside_one_side_permeates():
     """Boundary overlap needs every shared node on both boundaries."""
     a = Community(nodes=frozenset({0, 1, 2}), links=frozenset(), psi=0.5, boundary=frozenset({2}))
     b = Community(nodes=frozenset({2, 3, 4}), links=frozenset(), psi=0.5, boundary=frozenset({3}))
-    assert classify_overlap(a, b).kind == classify_overlap(b, a).kind == "permeating"
+    assert kind(a, b) == kind(b, a) == "permeating"
     b_edge = Community(nodes=b.nodes, links=frozenset(), psi=0.5, boundary=frozenset({2}))
-    assert classify_overlap(a, b_edge).kind == "boundary-overlap"
+    assert kind(a, b_edge) == "boundary-overlap"
 
 
-def test_cover_check(karate, karate_named):
-    assert cover_check(karate, karate_named["C1"], karate_named["C4"])
-    assert cover_check(karate, karate_named["C2"], karate_named["C3"])
-    assert not cover_check(karate, karate_named["C5"], karate_named["C6"])
+def test_cover_check(karate, karate_result):
+    pairs = karate_pairs(karate, karate_result)
+    assert pairs["C1", "C4"]["covers_graph"]
+    assert pairs["C2", "C3"]["covers_graph"]
+    assert not pairs["C5", "C6"]["covers_graph"]
 
 
 def karate_dag(karate, karate_result):

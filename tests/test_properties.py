@@ -16,7 +16,7 @@ from nodecut import Graph, cli
 from nodecut.errors import EdgeListError
 from nodecut.graph import edge_list_text, load_edge_list
 from nodecut.greedy import TieBreakPolicy, run_all_seeds
-from nodecut.hierarchy import build_polyhierarchy, classify_overlap, cover_check, dag_to_dot
+from nodecut.hierarchy import build_polyhierarchy, dag_to_dot
 from nodecut.report import (
     build_report,
     communities_from_report,
@@ -25,7 +25,6 @@ from nodecut.report import (
     report_graph,
     sorted_labels,
     trajectory_csvs,
-    trajectory_rows,
 )
 from conftest import random_connected_graph, random_weighted_graph
 
@@ -143,7 +142,10 @@ def test_trajectory_csvs_quote_like_the_csv_module(labels, graph_seed):
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["step", "action", "node", "psi", "size"])
-        writer.writerows(trajectory_rows(g, traj))
+        writer.writerows(
+            (str(step), action, "" if node is None else g.labels[node], f"{value:.12g}", str(size))
+            for step, action, node, value, size in traj.steps
+        )
         expected.append(buf.getvalue())
     assert trajectory_csvs(g, result.trajectories) == expected
 
@@ -207,6 +209,18 @@ def hierarchy_reports(draw):
     return {"graph": {"n": n, "m": len(links), "labels": labels}, "communities": entries}
 
 
+def reference_kind(a, b):
+    """Overlap kind of two communities, as the nodecut.hierarchy docstring defines it."""
+    if a.nodes <= b.nodes or b.nodes <= a.nodes:  # nesting takes precedence
+        return "nested"
+    shared = a.nodes & b.nodes
+    if not shared:
+        return "disjoint"
+    if all(i in a.boundary and i in b.boundary for i in shared):
+        return "boundary-overlap"
+    return "permeating"
+
+
 def pairs_document_text(report):
     """dumps_report of the {"names", "edges", "pairs"} document, built pair by pair from sets."""
     g = report_graph(report)
@@ -216,15 +230,14 @@ def pairs_document_text(report):
     pairs = []
     for i, (a, ca) in enumerate(named):
         for b, cb in named[i + 1 :]:
-            rel = classify_overlap(ca, cb)
             pairs.append(
                 {
                     "a": a,
                     "b": b,
-                    "kind": rel.kind,
-                    "shared_nodes": sorted_labels(g, rel.shared_nodes),
-                    "shared_links": link_label_pairs(g, rel.shared_links),
-                    "covers_graph": cover_check(g, ca, cb),
+                    "kind": reference_kind(ca, cb),
+                    "shared_nodes": sorted_labels(g, ca.nodes & cb.nodes),
+                    "shared_links": link_label_pairs(g, ca.links & cb.links),
+                    "covers_graph": len(ca.nodes | cb.nodes) == g.n,
                 }
             )
     doc = {"names": dag.names, "edges": [[p, c] for p, c in dag.edges], "pairs": pairs}

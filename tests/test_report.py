@@ -1,20 +1,13 @@
-"""Label order in reports, reports of plain and chained trajectory steps, and report JSON text."""
+"""Label order in reports and report JSON text."""
 
 import json
 
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from nodecut import Graph, TieBreakPolicy, cli
+from nodecut import Graph, cli
 from nodecut.graph import label_sort_key
-from nodecut.report import (
-    build_report,
-    dumps_report,
-    link_label_pairs,
-    sorted_labels,
-    trajectory_csvs,
-    trajectory_rows,
-)
+from nodecut.report import dumps_report, link_label_pairs, sorted_labels
 
 
 def reference_sorted_labels(g, indices):
@@ -92,22 +85,6 @@ def test_tied_label_keys_keep_first_appearance_order(tmp_path):
         assert c["links"] == sorted(c["links"], key=lambda p: (pos[p[0]], pos[p[1]]))
         shared += sum(lab in TIED for lab in c["nodes"]) > 1
     assert shared, "no community holds two tied labels"
-
-
-def test_plain_step_lists_report_like_their_chains(karate, karate_result):
-    """A Trajectory built with a plain list of numbered rows gives its chain
-    form's report, CSV rows and CSV text."""
-    plain = karate_result._replace(
-        trajectories=[t._replace(steps=list(t.steps)) for t in karate_result.trajectories]
-    )
-    policy = TieBreakPolicy()
-
-    def outputs(result):
-        report = build_report(karate, result, policy, "karate", trajectory_dir="traj")
-        rows = [trajectory_rows(karate, t) for t in result.trajectories]
-        return report, rows, trajectory_csvs(karate, result.trajectories)
-
-    assert outputs(plain) == outputs(karate_result)
 
 
 JSON_SCALARS = st.one_of(
