@@ -133,6 +133,16 @@ def _write_files(outputs: list[tuple[str, str | Iterable[str]]]):
                 os.remove(tmp)
 
 
+def _report_on(g: Graph, path: str) -> dict:
+    """The report at path; exit 2 when it was made on a graph of another size."""
+    from .report import load_report, same_graph_size
+
+    report = load_report(path)
+    if not same_graph_size(report, g):
+        _fail(2, "compare", "report graph size does not match the input graph")
+    return report
+
+
 def _check_output_path(path: str | None, directory: bool = False):
     """Fail before any work when an output path cannot be created.
 
@@ -223,7 +233,7 @@ def cmd_detect(args) -> int:
 def cmd_oracle(args) -> int:
     from .landscape import DEFAULT_MAX_NODES, exact_local_minima
     from .psi import psi
-    from .report import communities_from_report, dumps_report, load_report, round12, same_graph_size, sorted_labels
+    from .report import communities_from_report, dumps_report, round12, sorted_labels
 
     if args.max_nodes is not None and args.max_nodes < 2:  # every graph with a link has two nodes
         _fail(2, "usage", f"--max-nodes must be at least 2, not {args.max_nodes}")
@@ -251,10 +261,7 @@ def cmd_oracle(args) -> int:
     }
     code = 0
     if args.compare:
-        report = load_report(args.compare)
-        if not same_graph_size(report, g):
-            _fail(2, "compare", "report graph size does not match the input graph")
-        communities, names = communities_from_report(g, report)
+        communities, names = communities_from_report(g, _report_on(g, args.compare))
         greedy_sets = {c.nodes: name for c, name in zip(communities, names) if len(c.nodes) < g.n}
         exact_sets = set(minima)
         greedy_only = sorted(name for nodes, name in greedy_sets.items() if nodes not in exact_sets)
@@ -281,10 +288,10 @@ def cmd_verify(args) -> int:
     from .landscape import verify_local_minimum
     from .linegraph import build_line_graph
     from .psi import psi
-    from .report import communities_from_report, dumps_report, load_report, round12
+    from .report import communities_from_report, dumps_report, round12
 
     g, _ = _load_graph(args)
-    communities, names = communities_from_report(g, load_report(args.report))
+    communities, names = communities_from_report(g, _report_on(g, args.report))
     run_equivalence = args.equivalence or g.unit_weighted
     lg = build_line_graph(g) if run_equivalence else None
     checks = []

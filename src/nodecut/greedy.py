@@ -14,10 +14,10 @@ seed's whole component is covered:
 
 Every addition and every downhill test reads SubgraphState.best_add(), one
 unsorted pass over the frontier that returns the best score and its tie set;
-a revisit's ranked escape sorts add_scores(), and pruning remove_scores().
-The state caches each node's sigma delta, so after a move only the nodes
-within two hops of the moved node are rescored; every score is the same
-float a fresh psi_after_add / psi_after_remove call gives.
+a revisit's ranked escape sorts psi_after_add() scores, and pruning
+remove_scores(). The state caches each node's sigma delta, so after a move
+only the nodes within two hops of the moved node are rescored; every score
+is the same float a fresh psi_after_add / psi_after_remove call gives.
 
 Ties. Under the deterministic policy an addition takes the smallest node
 label among the candidates within MOVE_TOL of the best, while removals are
@@ -44,21 +44,20 @@ rebuilding the state at K if a replayed phase left it elsewhere. Visits,
 records and the phase budget are kept per run either way, so a cached
 trajectory equals the uncached one, float for float.
 
-Descent memo. The phase cache starts at a run's first settled set; the
-first descent, from the seed link, is the one part of a run it cannot
-share, yet on unit weights most runs soon step onto a state an earlier
-run's first descent passed through. With unit weights every in_w, k_in and
-link count is an integer-valued float, so they, the frontier and every
-cached delta are exact functions of the member set whatever moves led to
-it; only sigma carries the rounding of its history. So the state after a
-move of a first descent, keyed by the kind of that move (after an add the
-run tests additions first, after a removal it goes on pruning), the member
-set as an int bitmask and sigma, fixes the rest of the descent float for
-float. run_all_seeds shares one such memo per sweep: a run whose first
-descent reaches a stored state appends the rest of that descent's rows (the
-same row tuples) and takes its settled set, exact psi and frontier flag,
-and rebuilds its state at that set before its next computed phase. On
-weighted graphs in_w depends on the order of the sums that made it, and an
+Descent memo. The phase cache cannot share a run's first descent, from the
+seed link, nor a descent in a phase it has not stored, yet on unit weights
+most descents soon step onto a state an earlier descent passed through.
+With unit weights every in_w, k_in and link count is an integer-valued
+float, so they, the frontier and every cached delta are exact functions of
+the member set whatever moves led to it; only sigma carries the rounding of
+its history. So the state after a move of a descent, keyed by the kind of
+that move (after an add the run tests additions first, after a removal it
+goes on pruning), the member set as an int bitmask and sigma, fixes the
+rest of the descent float for float. run_all_seeds shares one such memo per
+sweep: a descent that reaches a stored state appends the rest of the stored
+descent's rows (the same row tuples) and takes its settled set, exact psi
+and frontier flag, and the run rebuilds its state at that set before its
+next computed phase. On weighted graphs in_w depends on the order of the sums that made it, and an
 in_w in the key would cost more than the hits save, so the memo is neither
 read nor filled there. The sweep also interns settled sets, so every run
 keeps the same object for the same set.
@@ -68,7 +67,7 @@ or more candidates, and ties are a function of the state. So a phase that
 drew nothing from (K, rank) in one run draws nothing in any run, and leaves
 its generator where it found it: such a phase is stored and replayed as
 under the deterministic policy. A phase that drew is never stored; every run
-that reaches it computes it with its own generator. Likewise a first-descent
+that reaches it computes it with its own generator. Likewise a descent's
 state enters the memo only if nothing was drawn from it to the end of the
 descent. The generator counts its draws, so a run tells either case from
 two counts.
@@ -151,9 +150,9 @@ class Trajectory(
 _Row = tuple[str, int | None, float, int]
 # A cached phase: (its rows, next settled set, its psi, frontier empty).
 _Phase = tuple[list[_Row], frozenset[int], float, bool]
-# A first descent, as the descent memo keeps it: (its run's rows, its row
-# count, its settled set, that set's psi, frontier empty). A memo entry is
-# (descent, row count at the state), so the descent's rest is rows[at:count].
+# A descent, as the descent memo keeps it: (the rows it was logged in, their
+# count at its end, its settled set, that set's psi, frontier empty). A memo
+# entry is (descent, row count at the state): the rest is rows[at:count].
 _Descent = tuple[list[_Row], int, frozenset[int], float, bool]
 
 
@@ -223,9 +222,9 @@ def _select(g: Graph, tied: list[int], rng: random.Random | None) -> int:
 
 def _ranked(state: SubgraphState, rank: int) -> int:
     """The addition at place rank of the (delta, label) order, clamped to the last."""
-    rank_of = state.g.rank
-    ordered = sorted(state.add_scores(), key=lambda c: (c[0], rank_of[c[1]]))
-    return ordered[min(rank, len(ordered) - 1)][1]
+    rank_of, value = state.g.rank, state.psi
+    ordered = sorted((state.psi_after_add(x) - value, rank_of[x], x) for x in state.frontier)
+    return ordered[min(rank, len(ordered) - 1)][2]
 
 
 def _removal_order(state: SubgraphState, rng: random.Random | None) -> list[tuple[float, int]]:
@@ -275,8 +274,8 @@ def prune(
 
 
 class _Replay(Exception):
-    """Raised when a first descent reaches a state the descent memo holds;
-    args[0] is that state's entry."""
+    """Raised when a descent reaches a state the descent memo holds; args[0]
+    is that state's entry."""
 
 
 def run_from_seed(
@@ -292,10 +291,10 @@ def run_from_seed(
 
     sweep holds the tables that the runs of one sweep over g share (see the
     module docstring); without one the run gets fresh tables. A run never
-    reads an entry it stored itself: no (settled set, escape rank) key
-    repeats within a run, since the rank is the set's earlier visit count,
-    and a run reads the descent memo only in its first descent, before it
-    writes to it. So a run with fresh tables runs as if it shared nothing.
+    reads a phase it stored: the rank in the key is the set's earlier visit
+    count. It may read a memo entry it stored, but an entry fixes the rest
+    of its descent float for float, whoever stored it. So a run with fresh
+    tables runs as if it shared nothing.
     Under the random policy only phases that drew nothing from the run's
     generator are stored; the memo is read and filled only on a unit-weight g.
     """
@@ -310,9 +309,8 @@ def run_from_seed(
     visits: dict[frozenset[int], int] = {}
     phases = 0
     max_phases = max(10 * g.n, 100)
-    # (memo key, row count, draws so far) after each move of the first descent
-    trail = [] if g.unit_weighted else None
-    mask = 1 << u | 1 << v  # the members as a bitmask, kept while trail is
+    trail = None  # (memo key, row count, draws so far) after each move of a descent
+    mask = 0  # the members as a bitmask, kept while trail is
 
     def drawn() -> int:
         return 0 if rng is None else rng.draws
@@ -336,32 +334,38 @@ def run_from_seed(
 
     def settle(best) -> tuple[frozenset[int], float, bool]:
         """Descend, prune, re-descend; return the settled set, its exact psi
-        and whether its frontier is empty."""
-        while True:
-            while best[0] < -MOVE_TOL:
-                best = add(_select(g, best[1], rng))
-            if not prune(state, rng, on_move=log):
-                break
-            best = state.best_add()
-            if not best[0] < -MOVE_TOL:
-                break
-        exact = state.recompute()  # recorded values never carry incremental drift
-        nodes = state.nodes()
-        return interned.setdefault(nodes, nodes), exact, not state.frontier
+        and whether its frontier is empty; on unit weights, through the memo."""
+        nonlocal state, trail, mask
+        if g.unit_weighted:
+            trail = []
+            mask = sum(1 << i for i in state.members)
+        try:
+            while True:
+                while best[0] < -MOVE_TOL:
+                    best = add(_select(g, best[1], rng))
+                if not prune(state, rng, on_move=log):
+                    break
+                best = state.best_add()
+                if not best[0] < -MOVE_TOL:
+                    break
+            exact = state.recompute()  # recorded values never carry incremental drift
+            nodes = state.nodes()
+            settled = interned.setdefault(nodes, nodes), exact, not state.frontier
+        except _Replay as replay:
+            descent, at = replay.args[0]
+            own.extend(descent[0][at : descent[1]])
+            settled = descent[2:]
+            state = None  # the live state stopped short of the settled set
+        if trail:
+            descent = (own, len(own), *settled)
+            last = drawn()
+            for state_key, at, draws in trail:
+                if draws == last:  # nothing was drawn from this state on
+                    memo[state_key] = (descent, at)
+        trail = None
+        return settled
 
-    try:
-        key, exact, done = settle(state.best_add())
-    except _Replay as replay:
-        (rows, end, key, exact, done), at = replay.args[0]
-        own.extend(rows[at:end])
-        state = None  # the live state stopped short of key
-    if trail:
-        descent = (own, len(own), key, exact, done)
-        last = drawn()
-        for state_key, at, draws in trail:
-            if draws == last:  # nothing was drawn from this state on
-                memo[state_key] = (descent, at)
-    trail = None
+    key, exact, done = settle(state.best_add())
     failure = None
     while True:
         seen = visits.get(key, 0)

@@ -19,13 +19,13 @@ the bytes are those of dumps_report over the document.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 
 from .graph import ROOT, Community, Graph, dot_text
+from .report import dumps_report
 
 __all__ = [
     "PolyhierarchyDag",
@@ -163,8 +163,8 @@ def hierarchy_json(
     ]
     full = (1 << g.n) - 1
 
-    head = json.dumps({"edges": [list(e) for e in dag.edges], "names": dag.names}, sort_keys=True, indent=2)
-    yield head[: -len("\n}")] + ',\n  "pairs": '  # "pairs" sorts last, so it goes on the open document
+    head = dumps_report({"edges": dag.edges, "names": dag.names})
+    yield head[: -len("\n}\n")] + ',\n  "pairs": '  # "pairs" sorts last, so it goes on the open document
     opened = False
     for i, (a, na, ba, la) in enumerate(rows):
         row = [

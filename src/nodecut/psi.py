@@ -79,7 +79,7 @@ class SubgraphState:
     other nodes). A move of x marks stale x, every neighbor of x, and every
     neighbor of a member neighbor of x; recompute() marks stale each node
     whose refreshed in_w differs, and every neighbor of such a member.
-    add_scores() and remove_scores() score all candidate moves, recomputing
+    best_add() and remove_scores() score all candidate moves, recomputing
     only stale deltas, and the moves reuse a cached delta.
     """
 
@@ -166,27 +166,10 @@ class SubgraphState:
         sigma = self.sigma + self._remove_delta(i)
         return sigma / (self.k_in - 2.0 * self.in_w[i]) if sigma > 0.0 else 0.0
 
-    def add_scores(self) -> list[tuple[float, int]]:
-        """(psi change if added, node) for every frontier node, in node order.
-
-        Each change is the float psi_after_add(x) - psi; only stale deltas
-        are recomputed.
-        """
-        delta, in_w, sigma, k_in = self.delta, self.in_w, self.sigma, self.k_in
-        value = self.psi
-        scores = []
-        for x in sorted(self.frontier):
-            d = delta[x]
-            if d is None:
-                d = delta[x] = self._add_delta(x)
-            after = sigma + d
-            scores.append(((after / (k_in + 2.0 * in_w[x]) if after > 0.0 else 0.0) - value, x))
-        return scores
-
     def best_add(self) -> tuple[float, list[int]]:
         """Smallest psi change over the frontier, and the nodes within MOVE_TOL of it in node order.
 
-        One unsorted pass: each change is the float add_scores gives, and
+        One unsorted pass: each change is the float psi_after_add(x) - psi, and
         only stale deltas are recomputed. (inf, []) when the frontier is empty.
         """
         delta, in_w, sigma, k_in = self.delta, self.in_w, self.sigma, self.k_in

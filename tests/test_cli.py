@@ -546,6 +546,19 @@ def test_report_link_not_in_graph_exit_2(tmp_path, capsys, command):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+def test_report_of_another_graph_exit_2(tmp_path, capsys, command):
+    """A report made on another graph is refused, not checked community by community."""
+    _, report_path = _two_triangle_report(tmp_path)
+    larger = tmp_path / "larger.edges"
+    larger.write_text(TWO_TRIANGLES + "6 7\n7 1\n")
+    capsys.readouterr()
+    code, out, err = run_cli(REPORT_COMMANDS[command](str(larger), str(report_path)), capsys)
+    _assert_one_error(code, err, "compare")
+    assert "report graph size does not match the input graph" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("command", ["detect", "oracle", "linegraph"])
 def test_edge_list_not_utf8_exit_2(tmp_path, capsys, command):
     edges = tmp_path / "bad.edges"

@@ -52,8 +52,15 @@ def brute_best_addition(g, members):
     return best
 
 
+def _reference_add_scores(state):
+    """(psi change if added, node) for every frontier node, in node order,
+    each scored afresh through psi_after_add."""
+    value = state.psi
+    return [(state.psi_after_add(x) - value, x) for x in sorted(state.frontier)]
+
+
 def reference_select(g, cands, rng, rank=0):
-    """The addition a run makes, picked from a full add_scores list.
+    """The addition a run makes, picked from a full _reference_add_scores list.
 
     rank 0 takes the best, ties within MOVE_TOL drawn from in node order
     under the random policy and broken by label otherwise; a higher rank
@@ -376,11 +383,11 @@ def fresh_phase(g, key, rank, rng):
         rows.append((action, x, state.psi, len(state.members)))
 
     def downhill():
-        scores = state.add_scores()
+        scores = _reference_add_scores(state)
         return bool(scores) and min(scores)[0] < -MOVE_TOL
 
     def add(rank=0):
-        _, x = reference_select(g, state.add_scores(), rng, rank)
+        _, x = reference_select(g, _reference_add_scores(state), rng, rank)
         state.apply_add(x)
         log("add", x)
 
@@ -454,7 +461,7 @@ def test_the_descent_memo_replays_first_descents(karate, policy):
 
 
 def rest_of_descent(g, memo_key, rng):
-    """The rows, settled set, exact psi and frontier flag of a first descent
+    """The rows, settled set, exact psi and frontier flag of a descent
     from the state memo_key names, computed from a fresh state at its member
     set and sigma one selected move at a time."""
     kind, mask, sigma = memo_key
@@ -466,7 +473,7 @@ def rest_of_descent(g, memo_key, rng):
         rows.append((action, x, state.psi, len(state.members)))
 
     def downhill():
-        scores = state.add_scores()
+        scores = _reference_add_scores(state)
         return bool(scores) and min(scores)[0] < -MOVE_TOL
 
     going = True
@@ -475,7 +482,7 @@ def rest_of_descent(g, memo_key, rng):
         going = downhill()
     while going:
         while downhill():
-            _, x = reference_select(g, state.add_scores(), rng)
+            _, x = reference_select(g, _reference_add_scores(state), rng)
             state.apply_add(x)
             log("add", x)
         going = bool(prune(state, rng, on_move=log)) and downhill()
@@ -488,7 +495,7 @@ def rest_of_descent(g, memo_key, rng):
 )
 def test_a_memo_state_fixes_the_rest_of_its_descent(karate, policy):
     """On unit weights (kind of the last move, member set, sigma) fixes the rest
-    of a first descent, float for float; under the random policy a state is
+    of a descent, float for float; under the random policy a state is
     stored only if nothing was drawn from it on, so the rest leaves any
     generator untouched."""
     graphs = [karate, random_connected_graph(random.Random(8), 40, 60)]
@@ -499,6 +506,34 @@ def test_a_memo_state_fixes_the_rest_of_its_descent(karate, policy):
             before = gen and gen.getstate()
             assert rest_of_descent(g, memo_key, gen) == (rows[at:end], nodes, exact, done)
             assert gen is None or gen.getstate() == before
+
+
+def test_the_descent_memo_serves_later_descents(karate):
+    """A descent after an escape reads the memo as a first descent does: on
+    karate some run replays memo rows after its first settled set, that is
+    after its first phase-cache lookup."""
+    lookups = []  # (table, hit) for each read of the phase cache and the memo
+
+    class Logged(dict):
+        def __init__(self, name):
+            super().__init__()
+            self.name = name
+
+        def get(self, key, default=None):
+            found = super().get(key, default)
+            lookups.append((self.name, found is not None))
+            return found
+
+    sweep = _Sweep(Logged("cache"), Logged("memo"), {})
+    runs, later_replays = [], 0
+    for link_id in range(karate.m):
+        lookups.clear()
+        runs.append(run_from_seed(karate, link_id, None, sweep))
+        tables = [name for name, _ in lookups]
+        if "cache" in tables:
+            later_replays += ("memo", True) in lookups[tables.index("cache") :]
+    assert later_replays
+    assert runs == [run_from_seed(karate, link_id) for link_id in range(karate.m)]
 
 
 def test_a_sweep_keeps_one_object_per_settled_set():
@@ -564,8 +599,7 @@ def test_each_state_is_scored_once(karate, monkeypatch, policy):
 
     monkeypatch.setattr(SubgraphState, "_add_delta", counted("add", SubgraphState._add_delta))
     monkeypatch.setattr(SubgraphState, "_remove_delta", counted("remove", SubgraphState._remove_delta))
-    for name in ("add_scores", "remove_scores"):
-        monkeypatch.setattr(SubgraphState, name, listed(getattr(SubgraphState, name)))
+    monkeypatch.setattr(SubgraphState, "remove_scores", listed(SubgraphState.remove_scores))
     monkeypatch.setattr(SubgraphState, "best_add", best_add(SubgraphState.best_add))
     for name in ("apply_add", "apply_remove", "recompute"):
         monkeypatch.setattr(SubgraphState, name, clearing(getattr(SubgraphState, name)))
@@ -575,11 +609,6 @@ def test_each_state_is_scored_once(karate, monkeypatch, policy):
     assert evaluations
     assert not repeats
     assert len(evaluations) < len(scores)
-
-
-def _reference_add_scores(state):
-    value = state.psi
-    return [(state.psi_after_add(x) - value, x) for x in sorted(state.frontier)]
 
 
 def _reference_best_add(state):
@@ -605,12 +634,12 @@ def _reference_remove_scores(state):
 def test_cached_scoring_matches_a_reference_scorer(monkeypatch, policy):
     """Sweeps scored from cached deltas equal, float for float, sweeps that
     score every candidate afresh through the public psi_after_* methods, on
-    every step: best additions, ranked escapes and removals."""
+    every step: best additions and removals. Ranked escapes score through
+    psi_after_add either way."""
     rng = random.Random(23)
     graphs = [random_connected_graph(rng, n, n) for n in (12, 18, 24)]
     graphs += [random_weighted_graph(rng, n, n) for n in (12, 18, 24)]
     cached = [run_all_seeds(g, policy) for g in graphs]
-    monkeypatch.setattr(SubgraphState, "add_scores", _reference_add_scores)
     monkeypatch.setattr(SubgraphState, "best_add", _reference_best_add)
     monkeypatch.setattr(SubgraphState, "remove_scores", _reference_remove_scores)
     for g, got in zip(graphs, cached):
