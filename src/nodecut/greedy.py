@@ -213,9 +213,11 @@ class DetectionResult(namedtuple("DetectionResult", "communities trajectories hi
 
 
 def _select(g: Graph, tied: list[int], rng: random.Random | None) -> int:
-    """The best addition among the tie set of best_add (node order): a draw
-    from the run's generator when it has two or more, else the smallest label."""
-    if rng is not None and len(tied) > 1:
+    """The best addition among the tie set of best_add (node order): its one
+    node, else a draw from the run's generator, else the smallest label."""
+    if len(tied) == 1:
+        return tied[0]
+    if rng is not None:
         return tied[rng.randrange(len(tied))]
     return min(tied, key=g.rank.__getitem__)
 
@@ -228,11 +230,19 @@ def _ranked(state: SubgraphState, rank: int) -> int:
 
 
 def _removal_order(state: SubgraphState, rng: random.Random | None) -> list[tuple[float, int]]:
-    """Removal candidates most-downhill first; ties shuffled or label-ordered."""
+    """Removal candidates most-downhill first, as (delta, node).
+
+    Deterministic policy: only the downhill removals, delta < -MOVE_TOL, the
+    only ones prune reads, in (delta, label) order. Random policy: every
+    removal, with each tie group shuffled, the uphill ones too, so the draws
+    the run's generator makes do not depend on where prune stops.
+    """
     cands = state.remove_scores()
     if rng is None:
-        cands.sort(key=lambda c: (c[0], state.g.rank[c[1]]))
-        return cands
+        rank = state.g.rank
+        downhill = [c for c in cands if c[0] < -MOVE_TOL]
+        downhill.sort(key=lambda c: (c[0], rank[c[1]]))
+        return downhill
     cands.sort(key=lambda c: c[0])  # stable: keeps index order inside tie groups
     i = 0
     while i < len(cands):

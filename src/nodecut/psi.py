@@ -24,11 +24,17 @@ frontier node, the remove delta of a member. Node i's delta reads only the
 members among its neighbors, their k_j_in, and k_i_in. A move of x changes
 x's role, the membership seen by x's neighbors and k_j_in of x's neighbors,
 so it invalidates exactly x, N(x), and N(j) for every member neighbor j of
-x: the ball of radius two around x. recompute() drops only the deltas that
-read an in_w its refresh changed (none on unit weights, whose sums are
-exact). A stale entry is recomputed with the delta formula above, in
-adjacency order, so a score from a cached delta is the same float
-psi_after_* returns.
+x: the ball of radius two around x. The move drops them in the same pass
+over x's neighbors that updates their sums. A stale entry is recomputed
+with the delta formula above, in adjacency order, so a score from a cached
+delta is the same float psi_after_* returns.
+
+recompute() refreshes the sums from the member set alone. On unit weights
+every in_w, k_in and link count is an integer-valued float, exact whatever
+moves made it, so the frontier and every cached delta are already what a
+rebuild gives and only sigma, which carries the rounding of its history, is
+summed again. On weighted graphs it rebuilds every sum and drops only the
+deltas that read an in_w the rebuild changed.
 """
 
 from __future__ import annotations
@@ -76,9 +82,10 @@ class SubgraphState:
 
     delta[i] caches node i's exact sigma delta: the add delta of a frontier
     node, the remove delta of a member, None when stale (always None for
-    other nodes). A move of x marks stale x, every neighbor of x, and every
-    neighbor of a member neighbor of x; recompute() marks stale each node
-    whose refreshed in_w differs, and every neighbor of such a member.
+    other nodes). apply_add(x) and apply_remove(x) mark stale x, every
+    neighbor of x, and every neighbor of a member neighbor of x, in their
+    own pass over x's neighbors; a weighted recompute() marks stale each
+    node whose refreshed in_w differs, and every neighbor of such a member.
     best_add() and remove_scores() score all candidate moves, recomputing
     only stale deltas, and the moves reuse a cached delta.
     """
@@ -90,36 +97,40 @@ class SubgraphState:
         self.members = set(nodes)
         if not self.members:
             raise ZeroInternalDegree("empty node set")
+        self.delta = [None] * g.n
         self._rebuild()
         if self.links_in == 0:
             raise ZeroInternalDegree(f"node set {sorted(self.members)} has no internal links")
 
     def _rebuild(self):
-        """Recompute every cached quantity from the member set."""
-        g = self.g
-        self.in_w = [0.0] * g.n
-        self.in_cnt = [0] * g.n
-        self.delta = [None] * g.n
-        order = sorted(self.members)  # sum order must not depend on the set's history
+        """Recompute every sum and the frontier from the member set; leaves delta alone."""
+        g, members = self.g, self.members
+        in_w = self.in_w = [0.0] * g.n
+        in_cnt = self.in_cnt = [0] * g.n
+        order = sorted(members)  # sum order must not depend on the set's history
         for i in order:
             for j, w, _ in g.adj[i]:
-                self.in_w[j] += w
-                self.in_cnt[j] += 1
-        self.frontier = {
-            j for j in range(g.n) if self.in_cnt[j] > 0 and j not in self.members
-        }
+                in_w[j] += w
+                in_cnt[j] += 1
+        self.frontier = {j for i in order for j, _, _ in g.adj[i]} - members
         links_in = 0
-        sigma = 0.0
         k_in = 0.0
         for i in order:  # fixed summation order, as in sigma_and_k_in
-            links_in += self.in_cnt[i]
-            k_in += self.in_w[i]
-            w_out = g.degrees[i] - self.in_w[i]
-            if w_out > 0.0:
-                sigma += self.in_w[i] * w_out / g.degrees[i]
+            links_in += in_cnt[i]
+            k_in += in_w[i]
         self.links_in = links_in // 2
-        self.sigma = sigma
         self.k_in = k_in
+        self.sigma = self._sigma(order)
+
+    def _sigma(self, order) -> float:
+        """sigma summed over the members in order (node order), as sigma_and_k_in sums it."""
+        in_w, degrees = self.in_w, self.g.degrees
+        sigma = 0.0
+        for i in order:
+            w_out = degrees[i] - in_w[i]
+            if w_out > 0.0:
+                sigma += in_w[i] * w_out / degrees[i]
+        return sigma
 
     @property
     def psi(self) -> float:
@@ -170,29 +181,31 @@ class SubgraphState:
         """Smallest psi change over the frontier, and the nodes within MOVE_TOL of it in node order.
 
         One unsorted pass: each change is the float psi_after_add(x) - psi, and
-        only stale deltas are recomputed. (inf, []) when the frontier is empty.
+        only stale deltas are recomputed. It keeps every change within the
+        running bound and filters them against the final one at the end.
+        (inf, []) when the frontier is empty.
         """
         delta, in_w, sigma, k_in = self.delta, self.in_w, self.sigma, self.k_in
         members, adj, degrees = self.members, self.g.adj, self.g.degrees
         value = self.psi
         best = bound = float("inf")
-        tied = []
+        near = []
         for x in self.frontier:
             d = delta[x]
             if d is None:  # _add_delta, inlined: most steps recompute several
                 d = 0.0
                 for j, w, _ in adj[x]:
                     if j in members:
-                        d += w * (2.0 * (degrees[j] - in_w[j]) - w) / degrees[j]
+                        dj = degrees[j]
+                        d += w * (2.0 * (dj - in_w[j]) - w) / dj
                 d = delta[x] = d - in_w[x] * in_w[x] / degrees[x]
             after = sigma + d
             change = (after / (k_in + 2.0 * in_w[x]) if after > 0.0 else 0.0) - value
             if change <= bound:
                 if change < best:
                     best, bound = change, change + MOVE_TOL
-                    tied = [c for c in tied if c[0] <= bound]
-                tied.append((change, x))
-        return best, sorted(x for _, x in tied)
+                near.append((change, x))
+        return best, sorted(x for change, x in near if change <= bound)
 
     def remove_scores(self) -> list[tuple[float, int]]:
         """(psi change if removed, node) for every member whose removal keeps an
@@ -202,81 +215,93 @@ class SubgraphState:
         are recomputed.
         """
         delta, in_w, in_cnt, sigma, k_in = self.delta, self.in_w, self.in_cnt, self.sigma, self.k_in
+        members, adj, degrees = self.members, self.g.adj, self.g.degrees
         links_in = self.links_in
         value = self.psi
         scores = []
-        for x in sorted(self.members):
+        for x in sorted(members):
             if in_cnt[x] == links_in:
                 continue
             d = delta[x]
-            if d is None:
-                d = delta[x] = self._remove_delta(x)
+            if d is None:  # _remove_delta, inlined as in best_add
+                acc = 0.0
+                for j, w, _ in adj[x]:
+                    if j in members:
+                        dj = degrees[j]
+                        acc += w * (2.0 * (dj - in_w[j]) + w) / dj
+                d = delta[x] = in_w[x] * in_w[x] / degrees[x] - acc
             after = sigma + d
             scores.append(((after / (k_in - 2.0 * in_w[x]) if after > 0.0 else 0.0) - value, x))
         return scores
 
-    def _mark_stale(self, x: int) -> None:
-        """Drop every cached delta a move of x changed: x, N(x), and N(j) for
-        each member neighbor j of x."""
-        delta, members, adj = self.delta, self.members, self.g.adj
-        delta[x] = None
-        for j, _, _ in adj[x]:
+    def apply_add(self, i: int) -> None:
+        if i not in self.frontier:
+            raise NotANeighbor(f"node {self.g.labels[i]} is not an external neighbor of the set")
+        members, frontier, in_w, in_cnt, delta, adj = (
+            self.members, self.frontier, self.in_w, self.in_cnt, self.delta, self.g.adj
+        )
+        d = delta[i]
+        self.sigma += self._add_delta(i) if d is None else d
+        self.k_in += 2.0 * in_w[i]
+        self.links_in += in_cnt[i]
+        members.add(i)
+        frontier.discard(i)
+        delta[i] = None
+        for j, w, _ in adj[i]:
+            in_w[j] += w
+            in_cnt[j] += 1
             delta[j] = None
             if j in members:
                 for k, _, _ in adj[j]:
                     delta[k] = None
-
-    def apply_add(self, i: int) -> None:
-        if i not in self.frontier:
-            raise NotANeighbor(f"node {self.g.labels[i]} is not an external neighbor of the set")
-        d = self.delta[i]
-        self.sigma += self._add_delta(i) if d is None else d
-        self.k_in += 2.0 * self.in_w[i]
-        self.links_in += self.in_cnt[i]
-        self.members.add(i)
-        self.frontier.discard(i)
-        for j, w, _ in self.g.adj[i]:
-            self.in_w[j] += w
-            self.in_cnt[j] += 1
-            if j not in self.members and j not in self.frontier:
-                self.frontier.add(j)
-        self._mark_stale(i)
+            else:
+                frontier.add(j)
 
     def apply_remove(self, i: int) -> None:
         if i not in self.members:
             raise NotAMember(f"node {self.g.labels[i]} is not a member")
         if self.links_in == self.in_cnt[i]:
             raise ZeroInternalDegree("removal would leave no internal links")
-        d = self.delta[i]
+        members, frontier, in_w, in_cnt, delta, adj = (
+            self.members, self.frontier, self.in_w, self.in_cnt, self.delta, self.g.adj
+        )
+        d = delta[i]
         self.sigma += self._remove_delta(i) if d is None else d
-        self.k_in -= 2.0 * self.in_w[i]
-        self.links_in -= self.in_cnt[i]
-        self.members.remove(i)
-        for j, w, _ in self.g.adj[i]:
-            self.in_w[j] -= w
-            self.in_cnt[j] -= 1
-            if self.in_cnt[j] == 0:
-                self.in_w[j] = 0.0  # clear residue so frontier tests stay exact
-                self.frontier.discard(j)
-        if self.in_cnt[i] > 0:
-            self.frontier.add(i)
-        self._mark_stale(i)
+        self.k_in -= 2.0 * in_w[i]
+        self.links_in -= in_cnt[i]
+        members.remove(i)
+        delta[i] = None
+        for j, w, _ in adj[i]:
+            in_w[j] -= w
+            in_cnt[j] -= 1
+            delta[j] = None
+            if in_cnt[j] == 0:
+                in_w[j] = 0.0  # clear residue so frontier tests stay exact
+                frontier.discard(j)
+            if j in members:
+                for k, _, _ in adj[j]:
+                    delta[k] = None
+        if in_cnt[i] > 0:
+            frontier.add(i)
 
     def recompute(self) -> float:
-        """Refresh every sum from scratch; returns the exact psi.
+        """Refresh the sums from the member set alone; returns the exact psi.
 
-        The refreshed sums depend on the node set alone, not on the moves
-        that led to it. A cached delta survives when the refresh left every
-        in_w it reads as it was, so it is still exact.
+        On unit weights only sigma is summed again (see the module
+        docstring). Otherwise every sum is rebuilt, and a cached delta
+        survives when the rebuild left every in_w it reads as it was, so it
+        is still exact.
         """
-        in_w, delta = self.in_w, self.delta
+        if self.g.unit_weighted:
+            self.sigma = self._sigma(sorted(self.members))
+            return self.psi
+        old = self.in_w
         self._rebuild()
-        members, adj = self.members, self.g.adj
-        for x, (old, new) in enumerate(zip(in_w, self.in_w)):
-            if old != new:
+        members, frontier, in_w, delta, adj = self.members, self.frontier, self.in_w, self.delta, self.g.adj
+        for x in (*members, *frontier):  # every other in_w is 0.0 before and after
+            if old[x] != in_w[x]:
                 delta[x] = None
                 if x in members:  # its neighbors' deltas read its in_w
                     for j, _, _ in adj[x]:
                         delta[j] = None
-        self.delta = delta
         return self.psi

@@ -1,5 +1,7 @@
 """Greedy descent runs: move selection, pruning, escapes, and full sweeps."""
 
+import hashlib
+import itertools
 import pickle
 import random
 
@@ -21,7 +23,7 @@ from nodecut import (
     run_from_seed,
     verify_local_minimum,
 )
-from nodecut.greedy import Steps, _ranked, _select, _Sweep
+from nodecut.greedy import Steps, _ranked, _removal_order, _select, _Sweep
 from nodecut.psi import MOVE_TOL
 from conftest import (
     KARATE_NODES,
@@ -33,6 +35,7 @@ from conftest import (
     labels_of,
     random_connected_graph,
     random_weighted_graph,
+    spread_weighted_graph,
 )
 
 K4 = "1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
@@ -126,6 +129,63 @@ def test_prune_skips_disconnecting_removal():
         after = s.psi_after_remove(x)
         if after is not None and after < s.psi - 1e-12:
             assert not is_connected(g, s.members - {x})
+
+
+def _random_states(g, rng, moves):
+    """States of a random walk of adds and removes from a random seed link."""
+    u, v = g.link_ends[rng.randrange(g.m)]
+    s = SubgraphState(g, {u, v})
+    for _ in range(moves):
+        removable = [x for x in sorted(s.members) if s.psi_after_remove(x) is not None]
+        if s.frontier and (rng.random() < 0.6 or not removable):
+            s.apply_add(rng.choice(sorted(s.frontier)))
+        elif removable:
+            s.apply_remove(rng.choice(removable))
+        yield s
+
+
+def _reference_removal_order(state, rng):
+    """Every removal in (delta, label) order, or in delta order with each
+    group within MOVE_TOL of its first shuffled, uphill groups included."""
+    cands = [
+        (after - state.psi, x)
+        for x in sorted(state.members)
+        if (after := state.psi_after_remove(x)) is not None
+    ]
+    if rng is None:
+        return sorted(cands, key=lambda c: (c[0], state.g.rank[c[1]]))
+    cands.sort(key=lambda c: c[0])
+    out = []
+    while cands:
+        group = [c for c in cands if c[0] <= cands[0][0] + MOVE_TOL]
+        cands = cands[len(group):]
+        if len(group) > 1:
+            rng.shuffle(group)
+        out += group
+    return out
+
+
+@pytest.mark.parametrize("make", [random_connected_graph, random_weighted_graph], ids=["unit", "weighted"])
+def test_removal_order_is_the_downhill_prefix_and_keeps_every_draw(make):
+    """Deterministic: exactly the removals below -MOVE_TOL of the full
+    (delta, label) order. Random: the full order with every tie group
+    shuffled, so the generator makes the same draws as when every group,
+    uphill ones included, is shuffled."""
+    rng = random.Random(41)
+    downhill = draws = 0
+    for trial in range(6):
+        g = make(rng, rng.randrange(10, 30), 30)
+        for i, s in enumerate(_random_states(g, rng, 60)):
+            full = _reference_removal_order(s, None)
+            prefix = list(itertools.takewhile(lambda c: c[0] < -MOVE_TOL, full))
+            assert _removal_order(s, None) == prefix
+            downhill += len(prefix)
+            policy = TieBreakPolicy("random", trial)
+            got_rng, want_rng = policy.rng_for(i), policy.rng_for(i)
+            assert _removal_order(s, got_rng) == _reference_removal_order(s, want_rng)
+            assert got_rng.draws == want_rng.draws
+            draws += got_rng.draws
+    assert downhill and draws
 
 
 def test_escape_step_adds_min_increase(karate):
@@ -550,8 +610,8 @@ def test_each_state_is_scored_once(karate, monkeypatch, policy):
     """No node's sigma delta is computed twice without a move or recompute in
     between, and cached deltas make most scores free.
 
-    best_add recomputes add deltas inline: each stale frontier delta it fills
-    counts as one computation, and a cached one it replaces as a repeat.
+    best_add and remove_scores recompute deltas inline: each stale delta they
+    fill counts as one computation, and a cached one they replace as a repeat.
     """
     computed, repeats, evaluations, scores = set(), [], [], []
 
@@ -582,9 +642,15 @@ def test_each_state_is_scored_once(karate, monkeypatch, policy):
 
         return wrapper
 
-    def listed(method):
+    def remove_scores(method):
         def wrapper(state):
+            before = {i: state.delta[i] for i in state.members}
             out = method(state)
+            for _, i in out:
+                if before[i] is None:
+                    count("remove", i)
+                elif state.delta[i] is not before[i]:  # a cached delta computed again
+                    repeats.append(("remove", karate.labels[i]))
             scores.extend(out)
             return out
 
@@ -599,7 +665,7 @@ def test_each_state_is_scored_once(karate, monkeypatch, policy):
 
     monkeypatch.setattr(SubgraphState, "_add_delta", counted("add", SubgraphState._add_delta))
     monkeypatch.setattr(SubgraphState, "_remove_delta", counted("remove", SubgraphState._remove_delta))
-    monkeypatch.setattr(SubgraphState, "remove_scores", listed(SubgraphState.remove_scores))
+    monkeypatch.setattr(SubgraphState, "remove_scores", remove_scores(SubgraphState.remove_scores))
     monkeypatch.setattr(SubgraphState, "best_add", best_add(SubgraphState.best_add))
     for name in ("apply_add", "apply_remove", "recompute"):
         monkeypatch.setattr(SubgraphState, name, clearing(getattr(SubgraphState, name)))
@@ -691,3 +757,32 @@ def test_random_small_graphs_terminate_and_certify():
             assert traj.covers_graph
         for c in res.communities:
             assert verify_local_minimum(g, c.nodes)
+
+
+def _corpus_graph(k):
+    """Graph k of the kernel corpus: n = 10 + k nodes and n extra links,
+    unit, weighted or spread-weighted (spread 1e9) as k % 3 is 0, 1 or 2."""
+    rng, n = random.Random(k), 10 + k
+    if k % 3 == 0:
+        return random_connected_graph(rng, n, n)
+    if k % 3 == 1:
+        return random_weighted_graph(rng, n, n)
+    return spread_weighted_graph(rng, n, n, 1.0, 1e9)
+
+
+# sha256 of every trajectory row of run_all_seeds on the 24 corpus graphs
+# under both policies, psi as float.hex. It pins every move, score and
+# recorded float of the seed-run kernel: a change to it is a change of
+# output, not a speed-up or a refactoring.
+CORPUS_TRAJECTORY_SHA256 = "747f5e15c19e5cb31e6becbdbb91b0e3fca5a0c6f3c87d605a9e367632290a3c"
+
+
+def test_corpus_trajectories_keep_their_floats():
+    h = hashlib.sha256()
+    for k in range(24):
+        g = _corpus_graph(k)
+        for policy in (TieBreakPolicy(), TieBreakPolicy("random", k)):
+            for traj in run_all_seeds(g, policy).trajectories:
+                for _, action, node, value, size in traj.steps:
+                    h.update(f"{traj.link_id} {action} {node} {value.hex()} {size}\n".encode())
+    assert h.hexdigest() == CORPUS_TRAJECTORY_SHA256

@@ -312,14 +312,17 @@ def test_recompute_resets_drift(karate):
     assert exact == pytest.approx(psi(karate, c), abs=0.0)
 
 
-def test_recompute_depends_on_the_node_set_alone():
-    """The same weighted node set, built directly or reached through a larger
-    set by adds and removes, is the same state after recompute, float for float.
+@pytest.mark.parametrize("make", [random_connected_graph, random_weighted_graph], ids=["unit", "weighted"])
+def test_recompute_depends_on_the_node_set_alone(make):
+    """The same node set, built fresh or reached through a larger set by adds
+    and removes, is the same state after recompute, float for float: every
+    sum, the frontier, and each delta the walk's scoring left cached.
     """
-    g = random_weighted_graph(random.Random(2), 24, 30)
+    g = make(random.Random(2), 24, 30)
+    cached = 0
     for seed in range(10):
         target = random_connected_subgraph(random.Random(seed), g, 5)
-        direct = SubgraphState(g, target)
+        fresh = SubgraphState(g, target)
         walked = SubgraphState(g, target)
         added = []
         while walked.frontier:
@@ -328,10 +331,14 @@ def test_recompute_depends_on_the_node_set_alone():
             added.append(x)
         for x in reversed(added):
             walked.apply_remove(x)
-        assert walked.members == direct.members
-        direct.recompute()
+            walked.best_add()  # cache deltas for recompute to keep or drop
+            walked.remove_scores()
+        assert walked.members == fresh.members
         walked.recompute()
-        assert walked.in_w == direct.in_w
-        assert walked.sigma == direct.sigma
-        assert walked.k_in == direct.k_in
-        assert walked.psi == direct.psi
+        for field in ("in_w", "in_cnt", "frontier", "links_in", "k_in", "sigma", "psi"):
+            assert getattr(walked, field) == getattr(fresh, field), field
+        for i, d in enumerate(walked.delta):
+            if d is not None:
+                assert d == (fresh._remove_delta(i) if i in fresh.members else fresh._add_delta(i))
+                cached += 1
+    assert cached
