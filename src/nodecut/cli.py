@@ -187,8 +187,10 @@ def cmd_detect(args) -> int:
     policy = TieBreakPolicy(mode=mode, rng_seed=args.rng_seed)
     if g.components > 1 and not args.disconnected_ok:
         _fail(3, "disconnected-graph", "input graph is disconnected; pass --allow-disconnected to proceed")
-    _check_output_path(args.out)
     _check_output_path(args.trajectories, directory=True)
+    out_dir = os.path.dirname(os.path.abspath(args.out or "-"))
+    if not args.trajectories or out_dir != os.path.abspath(args.trajectories):
+        _check_output_path(args.out)  # else the report goes in the directory made for the CSVs
     started = time.perf_counter()
     seed_link = None
     if args.seed:

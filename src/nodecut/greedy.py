@@ -20,15 +20,17 @@ only the nodes within two hops of the moved node are rescored; every score
 is the same float a fresh psi_after_add / psi_after_remove call gives.
 
 Ties. Under the deterministic policy an addition takes the smallest node
-label among the candidates within MOVE_TOL of the best, while removals are
-tried in exact (delta, label) order, so a removal whose delta is lower by
-less than MOVE_TOL wins over a smaller label. Under the random policy an
-addition is drawn uniformly from the same tie set, and removals are
-shuffled within groups whose deltas lie within MOVE_TOL of the group's
-first. Revisiting an already-recorded minimum escalates the escape move to
-the next-ranked candidate. A run that cannot make progress stops after
-max(10 * n, 100) escape phases: its Trajectory keeps every step and minimum
-so far, ends at its last settled set and carries a failure message.
+label among the candidates within MOVE_TOL of the best, while the downhill
+removals, delta < -MOVE_TOL, are tried in exact (delta, label) order, so a
+removal whose delta is lower by less than MOVE_TOL wins over a smaller
+label. Under the random policy an addition is drawn uniformly from the same
+tie set, and the same downhill removals are shuffled within groups whose
+deltas lie within MOVE_TOL of the group's first; no other removal is
+ordered or drawn for. Revisiting an already-recorded minimum escalates the
+escape move to the next-ranked candidate. A run that cannot make progress
+stops after max(10 * n, 100) escape phases: its Trajectory keeps every step
+and minimum so far, ends at its last settled set and carries a failure
+message.
 
 Phase cache. Runs from different seeds fall into the same hollows and then
 replay the same escapes. A run settles with recompute(), after which its
@@ -230,20 +232,19 @@ def _ranked(state: SubgraphState, rank: int) -> int:
 
 
 def _removal_order(state: SubgraphState, rng: random.Random | None) -> list[tuple[float, int]]:
-    """Removal candidates most-downhill first, as (delta, node).
+    """The downhill removals, delta < -MOVE_TOL, most-downhill first, as
+    (delta, node): the only removals prune reads.
 
-    Deterministic policy: only the downhill removals, delta < -MOVE_TOL, the
-    only ones prune reads, in (delta, label) order. Random policy: every
-    removal, with each tie group shuffled, the uphill ones too, so the draws
-    the run's generator makes do not depend on where prune stops.
+    They come in (delta, label) order. Under the random policy each tie
+    group of two or more, removals whose deltas lie within MOVE_TOL of the
+    group's first, is then shuffled, so every draw permutes removals that
+    prune may take.
     """
-    cands = state.remove_scores()
+    rank = state.g.rank
+    cands = [c for c in state.remove_scores() if c[0] < -MOVE_TOL]
+    cands.sort(key=lambda c: (c[0], rank[c[1]]))
     if rng is None:
-        rank = state.g.rank
-        downhill = [c for c in cands if c[0] < -MOVE_TOL]
-        downhill.sort(key=lambda c: (c[0], rank[c[1]]))
-        return downhill
-    cands.sort(key=lambda c: c[0])  # stable: keeps index order inside tie groups
+        return cands
     i = 0
     while i < len(cands):
         j = i + 1
@@ -268,13 +269,8 @@ def prune(
     """
     removed = []
     while True:
-        choice = None
-        for delta, x in _removal_order(state, rng):
-            if delta >= -MOVE_TOL:
-                break
-            if is_connected(state.g, state.members - {x}):
-                choice = x
-                break
+        legal = (x for _, x in _removal_order(state, rng) if is_connected(state.g, state.members - {x}))
+        choice = next(legal, None)
         if choice is None:
             return removed
         state.apply_remove(choice)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -133,6 +134,23 @@ def spread_weighted_graph(rng: random.Random, n: int, extra: int, lightest: floa
     weights = [lightest * spread ** rng.random() for _ in range(g.m)]
     weights[0], weights[-1] = lightest, lightest * spread
     return Graph(list(g.labels), [(u, v, w) for (u, v), w in zip(g.link_ends, weights)])
+
+
+def fuzz_graph(k: int, lo: int, hi: int) -> Graph:
+    """Graph k of the fuzz: from Random(k), n in lo..hi, extra in 0..n and a
+    spread of 10 ** U(2, 12); a random_connected_graph(rng, n, extra), then
+    link weights 10 ** U(0, log10(spread)) in link order.
+
+    The small fuzz is k in range(3000) with n in 6..16, the large one k in
+    range(600) with n in 17..40.
+    """
+    rng = random.Random(k)
+    n = rng.randint(lo, hi)
+    extra = rng.randint(0, n)
+    spread = 10 ** rng.uniform(2, 12)
+    g = random_connected_graph(rng, n, extra)
+    links = [(u, v, 10 ** rng.uniform(0, math.log10(spread))) for u, v in g.link_ends]
+    return Graph(list(g.labels), links)
 
 
 def brute_force_connected_sets(g: Graph) -> set[frozenset[int]]:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from nodecut import MAX_WEIGHT_RATIO, WEIGHT_RANGE, cli
-from conftest import KARATE_NODES, OSCILLATING, PATH3, TWO_TRIANGLES
+from conftest import KARATE_NODES, OSCILLATING, PATH3, TWO_TRIANGLES, fuzz_graph
 
 
 def run_cli(args, capsys):
@@ -284,6 +284,23 @@ def test_verify_tampered_report_exit_5(karate_report, tmp_path, capsys, extra):
     assert "error[certificate]" in err and "C5" in err
     doc = json.loads(out)
     assert any(not c["local_minimum"] for c in doc["checks"])
+
+
+def test_verify_passes_an_rng_report_on_a_spread_weighted_graph(tmp_path, capsys):
+    """Large-fuzz graph 25 (spread 8.4e11) has a removal tie group that
+    straddles -MOVE_TOL; the random policy still prunes down to certified
+    minima."""
+    g = fuzz_graph(25, 17, 40)
+    edges = tmp_path / "fuzz25.edges"
+    edges.write_text(
+        "".join(f"{u + 1} {v + 1} {w!r}\n" for (u, v), w in zip(g.link_ends, g.link_weights))
+    )
+    report = tmp_path / "fuzz25.json"
+    argv = ["detect", str(edges), "--weighted", "--tie-break", "rng", "--rng-seed", "25"]
+    assert cli.main([*argv, "--out", str(report)]) == 0
+    code, out, err = run_cli(["verify", str(edges), "--weighted", "--report", str(report)], capsys)
+    assert code == 0, err
+    assert json.loads(out)["all_local_minima"] is True
 
 
 @pytest.mark.parametrize("nodes", [["1"], ["1", "4"]])
@@ -673,6 +690,16 @@ def test_detect_trajectory_files_match_the_report(tmp_path, capsys):
     assert listed["directory"] == str(traj)
     assert sorted(listed["files"]) == sorted(p.name for p in traj.iterdir())
     assert len(listed["files"]) == 7
+
+
+def test_detect_writes_its_report_into_a_new_trajectory_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(
+        ["detect", "--dataset", "karate", "--trajectories", "t", "--out", "t/report.json"], capsys
+    )
+    assert code == 0, err
+    listed = json.loads((tmp_path / "t" / "report.json").read_text())["trajectories"]
+    assert sorted(p.name for p in (tmp_path / "t").iterdir()) == sorted([*listed["files"], "report.json"])
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

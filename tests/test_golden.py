@@ -25,11 +25,11 @@ from nodecut import cli
 
 REPORT_SHA256 = {
     "det": "5472358aff557bc347634e13c4094fcd8808eb124a0ea7c33ea7654fb3db9219",
-    "rng-1": "7cce26aae4bbc25ce8041848e6626dff00d6d3ac4e453155cfe4019b76493ecb",
+    "rng-1": "abe19a5eb8e4cb7a7b46e7a871195037e841a874a795928a8ae293ce114e5c61",
 }
 TRAJECTORIES_SHA256 = {
     "det": "21f439d7ce4c700cd3acf9d57134c8d918c42748c73b845877e87c2bb3005850",
-    "rng-1": "c8e82439dfb5c2c78b36103295e81d25d39f77723b4f2526e3bb03cb959dc159",
+    "rng-1": "2e763c80aeff927e7421fb72fc62da70469790a57d205882f434b3ffd2252036",
 }
 HIERARCHY_JSON_SHA256 = "c0f37a7f0b8ff9fa791babbda93de7d6b12a8746a869f9334601aa249000d191"
 HIERARCHY_DOT_SHA256 = "d87ff48a6a084530a50c6327a0143fc932007cd482c4b215b883bff6c95f6b1d"
@@ -63,7 +63,7 @@ d y 1
 """
 MIXED_REPORT_SHA256 = {
     "det": "8b0f256f10dc16237a4305495880c991d72c6540c8443aca655ce20f6e875b70",
-    "rng-1": "c4190a9d6f1ddb1e0758f73e87c1c9fdc567a83a4bec18214b79e51f97abf8cb",
+    "rng-1": "c96dea665fa91bf73f249d63c4439963615ca019f3b4c2796b48e8d85140577d",
 }
 MIXED_HIERARCHY_JSON_SHA256 = "4f116d7d7402682b6803bbda7cebd2fad5a869e19cd3a1b8b917ac9c7508af6a"
 MIXED_HIERARCHY_DOT_SHA256 = "26c3c462da600269c2e038f3d2c41cdf8d4d1998d1ebcde4bfcbce1666f6728d"

@@ -31,6 +31,7 @@ from conftest import (
     KARATE_SEED_COUNTS,
     OSCILLATING,
     TWO_TRIANGLES,
+    fuzz_graph,
     indices_of,
     labels_of,
     random_connected_graph,
@@ -144,47 +145,54 @@ def _random_states(g, rng, moves):
         yield s
 
 
-def _reference_removal_order(state, rng):
-    """Every removal in (delta, label) order, or in delta order with each
-    group within MOVE_TOL of its first shuffled, uphill groups included."""
+def _reference_removal_order(state):
+    """Every removal in (delta, label) order, each scored afresh."""
     cands = [
         (after - state.psi, x)
         for x in sorted(state.members)
         if (after := state.psi_after_remove(x)) is not None
     ]
-    if rng is None:
-        return sorted(cands, key=lambda c: (c[0], state.g.rank[c[1]]))
-    cands.sort(key=lambda c: c[0])
-    out = []
-    while cands:
-        group = [c for c in cands if c[0] <= cands[0][0] + MOVE_TOL]
-        cands = cands[len(group):]
-        if len(group) > 1:
-            rng.shuffle(group)
-        out += group
-    return out
+    return sorted(cands, key=lambda c: (c[0], state.g.rank[c[1]]))
+
+
+def _tie_groups(cands):
+    """cands cut into runs whose deltas lie within MOVE_TOL of the run's first."""
+    groups = []
+    for c in cands:
+        if groups and c[0] <= groups[-1][0][0] + MOVE_TOL:
+            groups[-1].append(c)
+        else:
+            groups.append([c])
+    return groups
 
 
 @pytest.mark.parametrize("make", [random_connected_graph, random_weighted_graph], ids=["unit", "weighted"])
-def test_removal_order_is_the_downhill_prefix_and_keeps_every_draw(make):
+def test_removal_order_draws_only_within_downhill_ties(make):
     """Deterministic: exactly the removals below -MOVE_TOL of the full
-    (delta, label) order. Random: the full order with every tie group
-    shuffled, so the generator makes the same draws as when every group,
-    uphill ones included, is shuffled."""
+    (delta, label) order. Random: that same list with each tie group of two
+    or more shuffled, one draw per such group, so no removal that prune
+    cannot take is ever ordered or drawn for."""
     rng = random.Random(41)
     downhill = draws = 0
     for trial in range(6):
         g = make(rng, rng.randrange(10, 30), 30)
         for i, s in enumerate(_random_states(g, rng, 60)):
-            full = _reference_removal_order(s, None)
+            full = _reference_removal_order(s)
             prefix = list(itertools.takewhile(lambda c: c[0] < -MOVE_TOL, full))
             assert _removal_order(s, None) == prefix
             downhill += len(prefix)
             policy = TieBreakPolicy("random", trial)
             got_rng, want_rng = policy.rng_for(i), policy.rng_for(i)
-            assert _removal_order(s, got_rng) == _reference_removal_order(s, want_rng)
-            assert got_rng.draws == want_rng.draws
-            draws += got_rng.draws
+            want = []
+            ties = 0
+            for group in _tie_groups(prefix):
+                if len(group) > 1:
+                    want_rng.shuffle(group)
+                    ties += 1
+                want += group
+            assert _removal_order(s, got_rng) == want
+            assert got_rng.draws == want_rng.draws == ties
+            draws += ties
     assert downhill and draws
 
 
@@ -302,10 +310,15 @@ def test_stability_definition(karate, karate_result):
 
 
 def test_random_policy_still_finds_the_seven(karate):
+    """random(144) finds the seven and one more certified minimum, which the
+    deterministic sweep never records."""
     res = run_all_seeds(karate, TieBreakPolicy("random", 144))
-    sets = {labels_of(karate, c.nodes) for c in res.communities}
-    assert sets == set(KARATE_NODES.values())
-    assert res.histogram == {1: 27, 2: 42, 3: 9}
+    assert all(verify_local_minimum(karate, c.nodes) for c in res.communities)
+    found = {labels_of(karate, c.nodes): c for c in res.communities}
+    eighth = frozenset("1 2 5 6 7 11 12 17 18 22".split())
+    assert set(found) == set(KARATE_NODES.values()) | {eighth}
+    assert (found[eighth].psi, found[eighth].seed_count) == (0.1875, 5)
+    assert res.histogram == {1: 27, 2: 37, 3: 14}
 
 
 def test_deterministic_runs_are_identical(karate):
@@ -463,6 +476,17 @@ def fresh_phase(g, key, rank, rng):
     return rows, state.nodes(), exact, not state.frontier
 
 
+def assert_phases_draw_nothing(g, cache):
+    """Each cached phase is what any generator computes from its settled set
+    and rank, and computing it leaves the generator untouched."""
+    for (key, rank), phase in cache.items():
+        for rng_seed in ("a", "b"):
+            gen = random.Random(rng_seed)
+            before = gen.getstate()
+            assert fresh_phase(g, key, rank, gen) == phase
+            assert gen.getstate() == before
+
+
 def test_random_policy_caches_only_phases_that_draw_nothing():
     """Under the random policy a stored phase drew nothing from its run's
     generator, so every generator computes it the same way from its settled
@@ -473,22 +497,20 @@ def test_random_policy_caches_only_phases_that_draw_nothing():
     sweep = _Sweep({}, {}, {})
     cached = [run_from_seed(g, link_id, policy, sweep) for link_id in range(g.m)]
     assert sweep.cache, "weighted scores seldom tie, so most phases draw nothing"
-    for (key, rank), phase in sweep.cache.items():
-        for rng_seed in ("a", "b"):
-            gen = random.Random(rng_seed)
-            before = gen.getstate()
-            assert fresh_phase(g, key, rank, gen) == phase
-            assert gen.getstate() == before
+    assert_phases_draw_nothing(g, sweep.cache)
     assert cached == [run_from_seed(g, link_id, policy) for link_id in range(g.m)]
 
 
 def test_phases_that_draw_are_recomputed_by_every_run(karate):
-    """Unit weights tie often: karate's phases under the random policy draw,
-    so none is stored, and every run follows its own generator."""
+    """Unit weights tie often: almost all of karate's phases under the random
+    policy draw, so they are not stored, and every run follows its own
+    generator. The cache holds only phases that drew nothing: each is the
+    same from its settled set whatever the generator."""
     policy = TieBreakPolicy("random", 1)
     sweep = _Sweep({}, {}, {})
     cached = [run_from_seed(karate, link_id, policy, sweep) for link_id in range(karate.m)]
-    assert sweep.cache == {}
+    assert len(sweep.cache) == 1
+    assert_phases_draw_nothing(karate, sweep.cache)
     assert cached == [run_from_seed(karate, link_id, policy) for link_id in range(karate.m)]
 
 
@@ -748,11 +770,20 @@ def test_records_keep_their_value_semantics(karate, karate_result):
     assert run.failure is None
 
 
+# large-fuzz graphs (spreads 1.9e11-8.4e11) on which random-policy sweeps
+# used to record uncertified sets: a removal tie group straddled -MOVE_TOL
+SPREAD_FUZZ_KS = (25, 95, 537, 587)
+
+
 def test_random_small_graphs_terminate_and_certify():
     rng = random.Random(99)
+    sweeps = []
     for trial in range(10):
         g = random_connected_graph(rng, rng.randrange(4, 14), rng.randrange(0, 10))
-        res = run_all_seeds(g, TieBreakPolicy("random", trial))
+        sweeps.append((g, TieBreakPolicy("random", trial)))
+    sweeps += [(fuzz_graph(k, 17, 40), TieBreakPolicy("random", k)) for k in SPREAD_FUZZ_KS]
+    for g, policy in sweeps:
+        res = run_all_seeds(g, policy)
         for traj in res.trajectories:
             assert traj.covers_graph
         for c in res.communities:
@@ -770,19 +801,30 @@ def _corpus_graph(k):
     return spread_weighted_graph(rng, n, n, 1.0, 1e9)
 
 
-# sha256 of every trajectory row of run_all_seeds on the 24 corpus graphs
-# under both policies, psi as float.hex. It pins every move, score and
-# recorded float of the seed-run kernel: a change to it is a change of
+# sha256 of every trajectory row of run_all_seeds on the 24 corpus graphs,
+# psi as float.hex: under the deterministic policy, and under
+# TieBreakPolicy("random", k) on graph k. They pin every move, score and
+# recorded float of the seed-run kernel: a change to one is a change of
 # output, not a speed-up or a refactoring.
-CORPUS_TRAJECTORY_SHA256 = "747f5e15c19e5cb31e6becbdbb91b0e3fca5a0c6f3c87d605a9e367632290a3c"
+CORPUS_TRAJECTORY_SHA256 = {
+    "det": "d93b64f270df3580ef1105c01a6e99db878a137f8ff619b41dc9b5bb4a8d8495",
+    "rng": "c4310006ef412923e9add6e421099e7ff6064b9f9aafc33f41eb7fc88322e79a",
+}
 
 
-def test_corpus_trajectories_keep_their_floats():
+def _corpus_sha256(policy_for) -> str:
     h = hashlib.sha256()
     for k in range(24):
         g = _corpus_graph(k)
-        for policy in (TieBreakPolicy(), TieBreakPolicy("random", k)):
-            for traj in run_all_seeds(g, policy).trajectories:
-                for _, action, node, value, size in traj.steps:
-                    h.update(f"{traj.link_id} {action} {node} {value.hex()} {size}\n".encode())
-    assert h.hexdigest() == CORPUS_TRAJECTORY_SHA256
+        for traj in run_all_seeds(g, policy_for(k)).trajectories:
+            for _, action, node, value, size in traj.steps:
+                h.update(f"{traj.link_id} {action} {node} {value.hex()} {size}\n".encode())
+    return h.hexdigest()
+
+
+def test_corpus_trajectories_keep_their_floats():
+    assert _corpus_sha256(lambda k: TieBreakPolicy()) == CORPUS_TRAJECTORY_SHA256["det"]
+
+
+def test_corpus_rng_trajectories_keep_their_floats():
+    assert _corpus_sha256(lambda k: TieBreakPolicy("random", k)) == CORPUS_TRAJECTORY_SHA256["rng"]
