@@ -96,7 +96,7 @@ class Graph:
 
     __slots__ = (
         "n", "m", "labels", "adj", "degrees", "link_ends", "link_weights",
-        "order", "rank", "components", "unit_weighted", "_index",
+        "order", "rank", "components", "unit_weighted", "_index", "_link",
     )
 
     def __init__(self, labels, links):
@@ -152,6 +152,7 @@ class Graph:
         self.link_ends = tuple(ends)
         self.link_weights = tuple(weights)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
+        self._link = {pair: lid for lid, (u, v) in enumerate(ends) for pair in ((u, v), (v, u))}
         self.order = tuple(sorted(range(n), key=lambda i: label_sort_key(self.labels[i])))
         self.rank = tuple(sorted(range(n), key=self.order.__getitem__))  # inverse of order
         self.components = len(connected_components(self))
@@ -163,12 +164,10 @@ class Graph:
 
     def find_link(self, u_label: str, v_label: str) -> int:
         """Link id joining two labels; KeyError if the link does not exist."""
-        u = self.index_of(u_label)
-        v = self.index_of(v_label)
-        for nbr, _, lid in self.adj[u]:
-            if nbr == v:
-                return lid
-        raise KeyError(f"no link ({u_label}, {v_label})")
+        lid = self._link.get((self.index_of(u_label), self.index_of(v_label)))
+        if lid is None:
+            raise KeyError(f"no link ({u_label}, {v_label})")
+        return lid
 
     def link_label_pair(self, lid: int) -> tuple[str, str]:
         u, v = self.link_ends[lid]
@@ -306,12 +305,13 @@ def connected_components(g: Graph) -> list[set[int]]:
     return comps
 
 
-class Community(namedtuple("Community", "nodes links psi boundary seed_count stability", defaults=(0, None))):
+class Community(namedtuple("Community", "nodes psi boundary seed_count stability", defaults=(0, None))):
     """A recorded local minimum: node set plus derived facts.
 
-    nodes and boundary are frozensets of node indices, links a frozenset of
-    link ids; stability is a float, or None when no community has a lower
-    psi. Immutable and hashable, like any named tuple.
+    nodes and boundary are frozensets of node indices; stability is a float,
+    or None when no community has a lower psi. The links, induced_links(g,
+    nodes), are not stored; boundary is, as a report's stand-in graph lacks
+    the links that leave a community. Immutable and hashable, like any named tuple.
     """
 
     __slots__ = ()

@@ -26,11 +26,11 @@ removal whose delta is lower by less than MOVE_TOL wins over a smaller
 label. Under the random policy an addition is drawn uniformly from the same
 tie set, and the same downhill removals are shuffled within groups whose
 deltas lie within MOVE_TOL of the group's first; no other removal is
-ordered or drawn for. Revisiting an already-recorded minimum escalates the
-escape move to the next-ranked candidate. A run that cannot make progress
-stops after max(10 * n, 100) escape phases: its Trajectory keeps every step
-and minimum so far, ends at its last settled set and carries a failure
-message.
+ordered or drawn for. Revisiting a recorded minimum escalates the escape
+move to the next-ranked candidate, and each visit past the last rank adds
+one more best addition, so every escape makes progress. A run stops after
+max(10 * n, 100) escape phases, a backstop: its Trajectory keeps every step
+and minimum so far, ends at its last settled set and carries a failure message.
 
 Phase cache. Runs from different seeds fall into the same hollows and then
 replay the same escapes. A run settles with recompute(), after which its
@@ -81,7 +81,7 @@ import random
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .graph import Community, Graph, boundary_nodes, induced_links, is_connected, minimum_sort_key
+from .graph import Community, Graph, boundary_nodes, is_connected, minimum_sort_key
 from .psi import MOVE_TOL, SubgraphState, psi
 
 __all__ = [
@@ -279,6 +279,10 @@ def prune(
             on_move("remove", choice)
 
 
+def _phase_budget(g: Graph) -> int:  # escape phases before a run stops as failed
+    return max(10 * g.n, 100)
+
+
 class _Replay(Exception):
     """Raised when a descent reaches a state the descent memo holds; args[0]
     is that state's entry."""
@@ -314,7 +318,7 @@ def run_from_seed(
     minima: list[frozenset[int]] = []
     visits: dict[frozenset[int], int] = {}
     phases = 0
-    max_phases = max(10 * g.n, 100)
+    max_phases = _phase_budget(g)
     trail = None  # (memo key, row count, draws so far) after each move of a descent
     mask = 0  # the members as a bitmask, kept while trail is
 
@@ -397,7 +401,10 @@ def run_from_seed(
             state = SubgraphState(g, key)  # a replay left the live state behind
         before = drawn()
         # climb out of the hollow, then fall into the next one
+        width = len(state.frontier)
         best = add(_ranked(state, seen) if seen else _select(g, state.best_add()[1], rng))
+        for _ in range(seen - (width - 1)):  # visits past the last rank force further adds
+            best = add(_select(g, best[1], rng)) if best[1] else best
         while best[1] and not best[0] < -MOVE_TOL:
             best = add(_select(g, best[1], rng))
         settled = settle(best)
@@ -467,7 +474,6 @@ def merge_trajectories(g: Graph, trajectories: list[Trajectory]) -> DetectionRes
         communities.append(
             Community(
                 nodes=nodes,
-                links=frozenset(induced_links(g, nodes)),
                 psi=value,
                 boundary=frozenset(boundary_nodes(g, nodes)),
                 seed_count=counts[nodes],

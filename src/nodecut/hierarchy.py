@@ -11,8 +11,8 @@ have several parents.
 
 hierarchy_json streams the `hierarchy --json` document, one pair after
 another, so its size on disk is never held in memory. It works on int
-bitsets: node and boundary masks with bit g.rank[i] for node i, and link
-masks with one bit per link in label order. Every label and every link is
+bitsets: node and boundary masks with bit g.rank[i] for node i, and masks of
+the links among the nodes, one bit per link in label order. Every label and every link is
 rendered as JSON text once, and a pair's text is joined from those pieces;
 the bytes are those of dumps_report over the document.
 """
@@ -24,7 +24,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 
-from .graph import ROOT, Community, Graph, dot_text
+from .graph import ROOT, Community, Graph, dot_text, induced_links
 from .report import dumps_report
 
 __all__ = [
@@ -138,7 +138,7 @@ def hierarchy_json(
     document is {"edges", "names", "pairs"}, its bytes those of
     dumps_report. pairs holds one object per pair (a before b in that
     order): its classify_overlap kind, the shared nodes (sorted_labels) and
-    shared links (link_label_pairs), and whether the two cover the graph.
+    shared links (link_label_pairs) among the nodes on g, and whether the two cover the graph.
     """
     rank = g.rank
     label = [encode_basestring_ascii(g.labels[i]) for i in g.order]  # by rank
@@ -157,7 +157,7 @@ def hierarchy_json(
             encode_basestring_ascii(name),
             _mask(node_bits, c.nodes),
             _mask(node_bits, c.boundary),
-            _mask(link_bits, c.links),
+            _mask(link_bits, induced_links(g, c.nodes)),
         )
         for name, c in zip(dag.names[1:], communities)
     ]

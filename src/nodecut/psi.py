@@ -33,8 +33,8 @@ recompute() refreshes the sums from the member set alone. On unit weights
 every in_w, k_in and link count is an integer-valued float, exact whatever
 moves made it, so the frontier and every cached delta are already what a
 rebuild gives and only sigma, which carries the rounding of its history, is
-summed again. On weighted graphs it rebuilds every sum and drops only the
-deltas that read an in_w the rebuild changed.
+summed again. On weighted graphs it is a rebuild: every sum is summed again
+and every cached delta dropped, to be recomputed from the rebuilt sums.
 """
 
 from __future__ import annotations
@@ -84,8 +84,7 @@ class SubgraphState:
     node, the remove delta of a member, None when stale (always None for
     other nodes). apply_add(x) and apply_remove(x) mark stale x, every
     neighbor of x, and every neighbor of a member neighbor of x, in their
-    own pass over x's neighbors; a weighted recompute() marks stale each
-    node whose refreshed in_w differs, and every neighbor of such a member.
+    own pass over x's neighbors; a weighted recompute() marks every node stale.
     best_add() and remove_scores() score all candidate moves, recomputing
     only stale deltas, and the moves reuse a cached delta.
     """
@@ -97,14 +96,14 @@ class SubgraphState:
         self.members = set(nodes)
         if not self.members:
             raise ZeroInternalDegree("empty node set")
-        self.delta = [None] * g.n
         self._rebuild()
         if self.links_in == 0:
             raise ZeroInternalDegree(f"node set {sorted(self.members)} has no internal links")
 
     def _rebuild(self):
-        """Recompute every sum and the frontier from the member set; leaves delta alone."""
+        """Recompute every sum and the frontier from the member set, and drop every cached delta."""
         g, members = self.g, self.members
+        self.delta = [None] * g.n
         in_w = self.in_w = [0.0] * g.n
         in_cnt = self.in_cnt = [0] * g.n
         order = sorted(members)  # sum order must not depend on the set's history
@@ -287,21 +286,10 @@ class SubgraphState:
     def recompute(self) -> float:
         """Refresh the sums from the member set alone; returns the exact psi.
 
-        On unit weights only sigma is summed again (see the module
-        docstring). Otherwise every sum is rebuilt, and a cached delta
-        survives when the rebuild left every in_w it reads as it was, so it
-        is still exact.
+        On unit weights only sigma is summed again (see the module docstring).
         """
         if self.g.unit_weighted:
             self.sigma = self._sigma(sorted(self.members))
-            return self.psi
-        old = self.in_w
-        self._rebuild()
-        members, frontier, in_w, delta, adj = self.members, self.frontier, self.in_w, self.delta, self.g.adj
-        for x in (*members, *frontier):  # every other in_w is 0.0 before and after
-            if old[x] != in_w[x]:
-                delta[x] = None
-                if x in members:  # its neighbors' deltas read its in_w
-                    for j, _, _ in adj[x]:
-                        delta[j] = None
+        else:
+            self._rebuild()
         return self.psi

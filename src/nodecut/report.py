@@ -9,7 +9,7 @@ import re
 from json.encoder import encode_basestring_ascii
 
 from .errors import ReportError
-from .graph import ROOT, Community, Graph
+from .graph import ROOT, Community, Graph, induced_links
 
 # DetectionResult, TieBreakPolicy and Trajectory (nodecut.greedy) appear in
 # annotations only: importing greedy here would load the search into every
@@ -55,12 +55,13 @@ def link_label_pairs(g: Graph, link_ids) -> list[list[str]]:
 
 
 def community_entry(g: Graph, name: str, c: Community) -> dict:
+    links = induced_links(g, c.nodes)
     return {
         "name": name,
         "nodes": sorted_labels(g, c.nodes),
         "node_count": len(c.nodes),
-        "links": link_label_pairs(g, c.links),
-        "link_count": len(c.links),
+        "links": link_label_pairs(g, links),
+        "link_count": len(links),
         "psi": round12(c.psi),
         "boundary": sorted_labels(g, c.boundary),
         "seed_count": c.seed_count,
@@ -88,7 +89,6 @@ def build_report(
     if include_ground_state:
         whole = Community(
             nodes=frozenset(range(g.n)),
-            links=frozenset(range(g.m)),
             psi=0.0,
             boundary=frozenset(),
             seed_count=covered,
@@ -284,8 +284,9 @@ def communities_from_report(g: Graph, report: dict) -> tuple[list[Community], li
 
     The only reader of community entries. Raises ReportError when an entry
     is malformed (nodes, links and boundary must be lists, each link a
-    two-item list), two entries share a name, or an entry names a node or a
-    link that g lacks.
+    two-item list), two entries share a name, an entry names a node that g
+    lacks, or its links, as unordered pairs, are not exactly the links among
+    its nodes on g: they are checked, not stored.
     """
     out = []
     names = []
@@ -297,10 +298,11 @@ def communities_from_report(g: Graph, report: dict) -> tuple[list[Community], li
                 raise TypeError("nodes, links and boundary must be lists")
             if not all(isinstance(link, list) and len(link) == 2 for link in entry["links"]):
                 raise TypeError("each link must be a two-item list")
+            nodes = frozenset(g.index_of(lab) for lab in entry["nodes"])
+            listed = sorted(g.find_link(u, v) for u, v in entry["links"])
             out.append(
                 Community(
-                    nodes=frozenset(g.index_of(lab) for lab in entry["nodes"]),
-                    links=frozenset(g.find_link(u, v) for u, v in entry["links"]),
+                    nodes=nodes,
                     psi=float(entry["psi"]),
                     boundary=frozenset(g.index_of(lab) for lab in entry["boundary"]),
                     seed_count=int(entry.get("seed_count", 0)),
@@ -311,6 +313,8 @@ def communities_from_report(g: Graph, report: dict) -> tuple[list[Community], li
             raise ReportError(
                 f"community entry {k} is malformed or not in the graph: {exc}"
             ) from exc
+        if listed != sorted(induced_links(g, nodes)):
+            raise ReportError(f"community entry {k} ({name}): its links are not the links among its nodes")
         if name in seen:
             raise ReportError(f"duplicate community name {name!r}")
         seen.add(name)

@@ -32,6 +32,7 @@ from nodecut import (
     classify_overlap,
     cli,
     exact_local_minima,
+    induced_links,
     psi,
     run_all_seeds,
     run_from_seed,
@@ -139,7 +140,7 @@ def test_criterion_02_boundary_facts(karate, karate_named):
     assert c["C1"] | c["C4"] == every
     assert c["C1"] & c["C4"] == {"1"}
     assert c["C2"] | c["C3"] == every
-    shared = karate_named["C2"].links & karate_named["C3"].links
+    shared = induced_links(karate, karate_named["C2"].nodes) & induced_links(karate, karate_named["C3"].nodes)
     assert {karate.link_label_pair(lid) for lid in shared} == REFERENCE_SHARED_LINKS
 
 
@@ -149,7 +150,8 @@ def test_criterion_02_reference_shared_links(karate, karate_named):
     assert edge_list_pairs_within(overlap) == REFERENCE_SHARED_LINKS
     shared = {
         karate.link_label_pair(lid)
-        for lid in karate_named["C2"].links & karate_named["C3"].links
+        for lid in induced_links(karate, karate_named["C2"].nodes)
+        & induced_links(karate, karate_named["C3"].nodes)
     }
     assert shared == REFERENCE_SHARED_LINKS
 

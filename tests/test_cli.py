@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from nodecut import MAX_WEIGHT_RATIO, WEIGHT_RANGE, cli
-from conftest import KARATE_NODES, OSCILLATING, PATH3, TWO_TRIANGLES, fuzz_graph
+from nodecut import MAX_WEIGHT_RATIO, WEIGHT_RANGE, cli, greedy
+from conftest import KARATE_EDGE_PAIRS, KARATE_NODES, OSCILLATING, PATH3, TWO_TRIANGLES, fuzz_graph
 
 
 def run_cli(args, capsys):
@@ -248,6 +248,8 @@ def test_oracle_compare_flags_fabricated_community(tmp_path, capsys):
     fake["name"] = "C9"
     fake["nodes"] = ["1", "2", "3"]
     fake["node_count"] = 3
+    fake["links"] = [["1", "2"], ["1", "3"], ["2", "3"]]
+    fake["link_count"] = 3
     report["communities"].append(fake)
     report_path.write_text(json.dumps(report))
     code, out, err = run_cli(["oracle", str(edges), "--compare", str(report_path)], capsys)
@@ -275,6 +277,8 @@ def test_verify_tampered_report_exit_5(karate_report, tmp_path, capsys, extra):
     entry = next(c for c in report["communities"] if c["name"] == "C5")
     entry["nodes"].append(extra)
     entry["node_count"] += 1
+    entry["links"] = [list(pair) for pair in KARATE_EDGE_PAIRS if set(pair) <= set(entry["nodes"])]
+    entry["link_count"] = len(entry["links"])
     tampered = tmp_path / "tampered.json"
     tampered.write_text(json.dumps(report))
     code, out, err = run_cli(
@@ -406,11 +410,11 @@ REPORT_COMMANDS = {
 }
 
 
-def _two_triangle_report(tmp_path):
+def _two_triangle_report(tmp_path, *detect_args):
     edges = tmp_path / "twotri.edges"
     edges.write_text(TWO_TRIANGLES)
     report = tmp_path / "report.json"
-    assert cli.main(["detect", str(edges), "--out", str(report)]) == 0
+    assert cli.main(["detect", str(edges), *detect_args, "--out", str(report)]) == 0
     return edges, report
 
 
@@ -456,11 +460,12 @@ def test_detect_runs_a_weight_spread_just_under_the_bound(tmp_path, capsys):
     assert json.loads(out)["seeds"]["failures"] == []
 
 
-def test_detect_reports_failed_seeds_without_claiming_every_minimum(tmp_path, capsys):
-    """Six seeds exhaust their phase budget; the minima they recorded before
-    that, {1,8,9,10} and {6,8,9,10}, are still reported, so detect finds every
-    exact minimum. A failed run is a seed run like any other in per_seed,
-    the histogram and the trajectory CSVs."""
+def test_detect_reports_failed_seeds_without_claiming_every_minimum(tmp_path, capsys, monkeypatch):
+    """With a budget of four escape phases, six seeds exhaust it; the minima
+    they recorded before that, {1,8,9,10} and {6,8,9,10}, are still reported,
+    so detect finds every exact minimum. A failed run is a seed run like any
+    other in per_seed, the histogram and the trajectory CSVs."""
+    monkeypatch.setattr(greedy, "_phase_budget", lambda g: 4)
     edges = tmp_path / "oscillating.edges"
     edges.write_text(OSCILLATING)
     report_path = tmp_path / "report.json"
@@ -482,7 +487,7 @@ def test_detect_reports_failed_seeds_without_claiming_every_minimum(tmp_path, ca
     seeds = report["seeds"]
     assert seeds["total"] == 15
     assert len(seeds["failures"]) == 6
-    assert all("no progress after 101 phases" in f["error"] for f in seeds["failures"])
+    assert all("no progress after 5 phases" in f["error"] for f in seeds["failures"])
     assert seeds["every_seed_recorded_a_minimum"] is False
     assert len(report["communities"]) == 3
     assert len(seeds["per_seed"]) == 15
@@ -498,7 +503,8 @@ def test_detect_reports_failed_seeds_without_claiming_every_minimum(tmp_path, ca
     assert (compare["matched"], compare["greedy_only"], compare["sound"]) == (3, [], True)
 
 
-def test_detect_single_seed_that_exhausts_its_budget_keeps_its_minima(tmp_path, capsys):
+def test_detect_single_seed_that_exhausts_its_budget_keeps_its_minima(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(greedy, "_phase_budget", lambda g: 4)
     edges = tmp_path / "oscillating.edges"
     edges.write_text(OSCILLATING)
     code, out, err = run_cli(["detect", "--weighted", str(edges), "--seed", "1,8"], capsys)
@@ -509,7 +515,7 @@ def test_detect_single_seed_that_exhausts_its_budget_keeps_its_minima(tmp_path, 
         ["1", "8", "9", "10"],
     ]
     assert report["seeds"]["failures"] == [
-        {"seed": ["1", "8"], "error": "seed ('1', '8'): no progress after 101 phases"}
+        {"seed": ["1", "8"], "error": "seed ('1', '8'): no progress after 5 phases"}
     ]
 
 
@@ -560,6 +566,27 @@ def test_report_link_not_in_graph_exit_2(tmp_path, capsys, command):
     capsys.readouterr()
     code, out, err = run_cli(REPORT_COMMANDS[command](str(edges), str(report_path)), capsys)
     _assert_one_error(code, err)
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_COMMANDS))
+@pytest.mark.parametrize("edit", ["link-too-few", "link-too-many"])
+def test_report_links_not_the_links_among_the_nodes_exit_2(tmp_path, capsys, command, edit):
+    """An entry whose links are not exactly those among its nodes is refused.
+    The ground state names every link, so hierarchy's stand-in graph has them all."""
+    edges, report_path = _two_triangle_report(tmp_path, "--include-ground-state")
+    report = json.loads(report_path.read_text())
+    entry = report["communities"][1]
+    assert sorted(entry["nodes"]) == ["1", "2", "3", "4"]
+    if edit == "link-too-few":
+        del entry["links"][0]
+    else:
+        entry["links"].append(["4", "5"])  # a link of the graph that leaves the community
+    report_path.write_text(json.dumps(report))
+    capsys.readouterr()
+    code, out, err = run_cli(REPORT_COMMANDS[command](str(edges), str(report_path)), capsys)
+    _assert_one_error(code, err)
+    assert "C1" in err and "links are not the links among its nodes" in err
     assert out == ""
 
 

@@ -23,6 +23,7 @@ from nodecut import (
     run_from_seed,
     verify_local_minimum,
 )
+from nodecut import greedy
 from nodecut.greedy import Steps, _ranked, _removal_order, _select, _Sweep
 from nodecut.psi import MOVE_TOL
 from conftest import (
@@ -271,14 +272,14 @@ def test_descent_phases_strictly_decrease(karate):
 
 
 def test_run_all_seeds_karate_table(karate, karate_result, karate_named):
-    from nodecut import boundary_nodes, induced_links
+    from nodecut import boundary_nodes
 
     assert len(karate_result.communities) == 7
+    assert Community._fields == ("nodes", "psi", "boundary", "seed_count", "stability")
     for name, community in karate_named.items():
         assert community.psi == pytest.approx(KARATE_PSI[name], abs=5e-4)
         assert community.seed_count == KARATE_SEED_COUNTS[name]
         assert community.boundary == frozenset(boundary_nodes(karate, community.nodes))
-        assert community.links == frozenset(induced_links(karate, community.nodes))
     assert karate_result.histogram == {1: 27, 2: 42, 3: 9}
     assert all(len(t.minima) >= 1 for t in karate_result.trajectories)
 
@@ -339,6 +340,20 @@ def test_jobs_do_not_change_results(karate):
         ]
 
 
+# small-fuzz graphs on which some seeds used to settle back on the same set
+# after every escape, at every rank, until the phase budget ran out
+STUCK_FUZZ_KS = (824, 1255, 1578, 2159, 2699)
+
+
+@pytest.mark.parametrize("mode", ["deterministic", "random"])
+def test_every_escape_makes_progress(mode):
+    graphs = [load_edge_list(OSCILLATING, weighted=True)] + [fuzz_graph(k, 6, 16) for k in STUCK_FUZZ_KS]
+    for k, g in enumerate(graphs):
+        res = run_all_seeds(g, TieBreakPolicy(mode, k))
+        assert [t.failure for t in res.trajectories] == [None] * g.m
+        assert all(t.covers_graph for t in res.trajectories)
+
+
 def test_disconnected_runs_confined_to_components():
     g = load_edge_list("1 2\n2 3\n4 5\n5 6\n6 4")
     res = run_all_seeds(g)
@@ -348,7 +363,10 @@ def test_disconnected_runs_confined_to_components():
         assert is_connected(g, traj.final_nodes)
 
 
-def test_a_run_that_exhausts_its_budget_returns_its_trajectory():
+def test_a_run_that_exhausts_its_budget_returns_its_trajectory(monkeypatch):
+    """Six OSCILLATING seeds need more than four escape phases; with a budget
+    of four they stop as failed, keeping what they recorded."""
+    monkeypatch.setattr(greedy, "_phase_budget", lambda g: 4)
     g = load_edge_list(OSCILLATING, weighted=True)
     res = run_all_seeds(g)
     assert len(res.trajectories) == 15
@@ -362,7 +380,7 @@ def test_a_run_that_exhausts_its_budget_returns_its_trajectory():
         ("9", "10"),
     ]
     for t in failed:
-        assert t.failure.endswith("no progress after 101 phases")
+        assert t.failure.endswith("no progress after 5 phases")
         assert t.minima and not t.covers_graph
         assert t.final_nodes in t.minima and t.final_psi == psi(g, t.final_nodes)
     assert sum(res.histogram.values()) == 15
@@ -764,7 +782,7 @@ def test_records_keep_their_value_semantics(karate, karate_result):
     assert communities[0] != communities[1]
     assert TieBreakPolicy() == TieBreakPolicy(mode="deterministic", rng_seed=0)
     assert TieBreakPolicy("random", 1) != TieBreakPolicy("random", 2)
-    whole = Community(nodes=frozenset({0}), links=frozenset(), psi=0.0, boundary=frozenset())
+    whole = Community(nodes=frozenset({0}), psi=0.0, boundary=frozenset())
     assert (whole.seed_count, whole.stability) == (0, None)
     run = Trajectory(0, (0, 1), [], [], frozenset({0, 1}), 0.0, True)
     assert run.failure is None

@@ -75,10 +75,10 @@ def test_classify_is_symmetric(karate_named):
 
 def test_shared_node_inside_one_side_permeates():
     """Boundary overlap needs every shared node on both boundaries."""
-    a = Community(nodes=frozenset({0, 1, 2}), links=frozenset(), psi=0.5, boundary=frozenset({2}))
-    b = Community(nodes=frozenset({2, 3, 4}), links=frozenset(), psi=0.5, boundary=frozenset({3}))
+    a = Community(nodes=frozenset({0, 1, 2}), psi=0.5, boundary=frozenset({2}))
+    b = Community(nodes=frozenset({2, 3, 4}), psi=0.5, boundary=frozenset({3}))
     assert kind(a, b) == kind(b, a) == "permeating"
-    b_edge = Community(nodes=b.nodes, links=frozenset(), psi=0.5, boundary=frozenset({2}))
+    b_edge = Community(nodes=b.nodes, psi=0.5, boundary=frozenset({2}))
     assert kind(a, b_edge) == "boundary-overlap"
 
 
@@ -131,7 +131,7 @@ def test_dropping_c1_or_c3_yields_a_tree(karate, karate_result):
 
 def _mini(nodes):
     fs = frozenset(nodes)
-    return Community(nodes=fs, links=frozenset(), psi=0.5, boundary=fs)
+    return Community(nodes=fs, psi=0.5, boundary=fs)
 
 
 def test_disjoint_communities_form_a_star():

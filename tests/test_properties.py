@@ -4,6 +4,7 @@ reports, and hierarchy JSON byte for byte."""
 import contextlib
 import csv
 import io
+import json
 import os
 import random
 import tempfile
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from nodecut import Graph, cli
 from nodecut.errors import EdgeListError
-from nodecut.graph import edge_list_text, load_edge_list
+from nodecut.graph import boundary_nodes, edge_list_text, induced_links, load_edge_list
 from nodecut.greedy import TieBreakPolicy, run_all_seeds
 from nodecut.hierarchy import build_polyhierarchy, dag_to_dot
 from nodecut.report import (
@@ -167,6 +168,27 @@ def test_jobs_do_not_change_report_bytes(g, rng_seed):
         assert detect_outputs(g, policy, jobs=2) == detect_outputs(g, policy, jobs=1)
 
 
+@settings(max_examples=20)
+@given(random_graphs(4, 24), st.sampled_from([None, 1]), st.booleans())
+def test_detect_reports_round_trip(g, rng_seed, ground_state):
+    """Every detect report loads against its input graph. Each entry lists
+    the links among its nodes and their boundary, and loads back to the
+    detected node sets and boundaries."""
+    policy = TieBreakPolicy() if rng_seed is None else TieBreakPolicy("random", rng_seed)
+    result = run_all_seeds(g, policy)
+    report = json.loads(dumps_report(build_report(g, result, policy, "g.edges", include_ground_state=ground_state)))
+    loaded, names = communities_from_report(g, report)
+    assert names == [e["name"] for e in report["communities"]]
+    for entry, c in zip(report["communities"], loaded):
+        links = induced_links(g, c.nodes)
+        assert len(entry["links"]) == entry["link_count"] == len(links)
+        assert {frozenset(pair) for pair in entry["links"]} == {frozenset(g.link_label_pair(lid)) for lid in links}
+        assert set(entry["boundary"]) == {g.labels[i] for i in boundary_nodes(g, c.nodes)}
+    detected = [(frozenset(range(g.n)), frozenset())] * ground_state
+    detected += [(c.nodes, c.boundary) for c in result.communities]
+    assert [(c.nodes, c.boundary) for c in loaded] == detected
+
+
 # labels JSON must escape ('"', '\\', non-ASCII) among numeric ones
 ESCAPED_LABEL = st.one_of(
     st.integers(-5, 300).map(str),
@@ -176,20 +198,21 @@ ESCAPED_LABEL = st.one_of(
 
 @st.composite
 def hierarchy_reports(draw):
-    """Hand-edited-looking reports: any node, boundary and link sets, and an optional ground state."""
+    """Hand-edited-looking reports: any node and boundary sets on a random graph, each entry
+    listing the graph's links among its nodes, and an optional ground state."""
     labels = draw(st.lists(ESCAPED_LABEL, min_size=2, max_size=9, unique=True))
     n = len(labels)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    links = draw(st.sets(st.sampled_from(pairs), max_size=15))
     some_nodes = st.sets(st.integers(0, n - 1), min_size=1)
-    entries, links = [], set()
+    entries = []
     for k in range(draw(st.integers(1, 7))):
         # now and then the whole graph, which hierarchy leaves out as the DAG root
         nodes = set(range(n)) if draw(st.integers(0, 5)) == 0 else draw(some_nodes)
         # most members on the boundary, a few inside it, and now and then a non-member
         inner = draw(st.sets(st.integers(0, n - 1), max_size=2))
         boundary = (nodes - inner) | draw(st.sets(st.integers(0, n - 1), max_size=1))
-        own = draw(st.sets(st.sampled_from(pairs), max_size=6))
-        links |= own
+        own = [(u, v) for u, v in sorted(links) if u in nodes and v in nodes]
         flip = draw(st.booleans())
         entries.append(
             {
@@ -222,9 +245,11 @@ def reference_kind(a, b):
 
 
 def pairs_document_text(report):
-    """dumps_report of the {"names", "edges", "pairs"} document, built pair by pair from sets."""
+    """dumps_report of the {"names", "edges", "pairs"} document, built pair by pair from sets;
+    shared links are those both entries list."""
     g = report_graph(report)
     communities, names = communities_from_report(g, report)
+    listed = {str(e["name"]): {g.find_link(u, v) for u, v in e["links"]} for e in report["communities"]}
     named = [(name, c) for name, c in zip(names, communities) if len(c.nodes) < g.n]
     dag = build_polyhierarchy(g, [c for _, c in named], [name for name, _ in named])
     pairs = []
@@ -236,7 +261,7 @@ def pairs_document_text(report):
                     "b": b,
                     "kind": reference_kind(ca, cb),
                     "shared_nodes": sorted_labels(g, ca.nodes & cb.nodes),
-                    "shared_links": link_label_pairs(g, ca.links & cb.links),
+                    "shared_links": link_label_pairs(g, listed[a] & listed[b]),
                     "covers_graph": len(ca.nodes | cb.nodes) == g.n,
                 }
             )
