@@ -133,14 +133,17 @@ def _write_files(outputs: list[tuple[str, str | Iterable[str]]]):
                 os.remove(tmp)
 
 
-def _report_on(g: Graph, path: str) -> dict:
-    """The report at path; exit 2 when it was made on a graph of another size."""
-    from .report import load_report, same_graph_size
+def _checked_communities(g: Graph, path: str):
+    """The communities and names of the report at path, each entry checked against g;
+    exit 2 when the report was made on a graph of another size."""
+    from .report import check_boundaries, communities_from_report, load_report
 
     report = load_report(path)
-    if not same_graph_size(report, g):
+    if report["graph"]["n"] != g.n or report["graph"]["m"] != g.m:
         _fail(2, "compare", "report graph size does not match the input graph")
-    return report
+    communities, names = communities_from_report(g, report)
+    check_boundaries(g, communities, names)
+    return communities, names
 
 
 def _check_output_path(path: str | None, directory: bool = False):
@@ -235,7 +238,7 @@ def cmd_detect(args) -> int:
 def cmd_oracle(args) -> int:
     from .landscape import DEFAULT_MAX_NODES, exact_local_minima
     from .psi import psi
-    from .report import communities_from_report, dumps_report, round12, sorted_labels
+    from .report import dumps_report, round12, sorted_labels
 
     if args.max_nodes is not None and args.max_nodes < 2:  # every graph with a link has two nodes
         _fail(2, "usage", f"--max-nodes must be at least 2, not {args.max_nodes}")
@@ -263,7 +266,7 @@ def cmd_oracle(args) -> int:
     }
     code = 0
     if args.compare:
-        communities, names = communities_from_report(g, _report_on(g, args.compare))
+        communities, names = _checked_communities(g, args.compare)
         greedy_sets = {c.nodes: name for c, name in zip(communities, names) if len(c.nodes) < g.n}
         exact_sets = set(minima)
         greedy_only = sorted(name for nodes, name in greedy_sets.items() if nodes not in exact_sets)
@@ -290,10 +293,10 @@ def cmd_verify(args) -> int:
     from .landscape import verify_local_minimum
     from .linegraph import build_line_graph
     from .psi import psi
-    from .report import communities_from_report, dumps_report, round12
+    from .report import dumps_report, round12
 
     g, _ = _load_graph(args)
-    communities, names = communities_from_report(g, _report_on(g, args.report))
+    communities, names = _checked_communities(g, args.report)
     run_equivalence = args.equivalence or g.unit_weighted
     lg = build_line_graph(g) if run_equivalence else None
     checks = []

@@ -207,9 +207,9 @@ class Steps(Sequence):
         return f"Steps({list(self)!r})"
 
 
-class DetectionResult(namedtuple("DetectionResult", "communities trajectories histogram")):
-    """Aggregated outcome of running every seed link: the merged communities,
-    one Trajectory per seed link, and how many runs recorded each number of minima."""
+class DetectionResult(namedtuple("DetectionResult", "communities trajectories")):
+    """Aggregated outcome of running every seed link: the merged communities
+    and one Trajectory per seed link."""
 
     __slots__ = ()
 
@@ -480,8 +480,4 @@ def merge_trajectories(g: Graph, trajectories: list[Trajectory]) -> DetectionRes
                 stability=min(distances, default=None),
             )
         )
-
-    histogram: dict[int, int] = {}
-    for traj in trajectories:
-        histogram[len(traj.minima)] = histogram.get(len(traj.minima), 0) + 1
-    return DetectionResult(communities=communities, trajectories=trajectories, histogram=histogram)
+    return DetectionResult(communities, trajectories)

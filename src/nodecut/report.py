@@ -6,10 +6,11 @@ import io
 import json
 import math
 import re
+from collections import Counter
 from json.encoder import encode_basestring_ascii
 
 from .errors import ReportError
-from .graph import ROOT, Community, Graph, induced_links
+from .graph import ROOT, Community, Graph, boundary_nodes, induced_links
 
 # DetectionResult, TieBreakPolicy and Trajectory (nodecut.greedy) appear in
 # annotations only: importing greedy here would load the search into every
@@ -20,8 +21,8 @@ __all__ = [
     "dumps_report",
     "load_report",
     "report_graph",
-    "same_graph_size",
     "communities_from_report",
+    "check_boundaries",
     "sorted_labels",
     "round12",
     "link_label_pairs",
@@ -80,12 +81,14 @@ def build_report(
 ) -> dict:
     """Assemble the JSON-ready report document for a detection run.
 
-    With a trajectory_dir, the report lists each run's trajectory_file_name
-    in that directory.
+    The histogram counts the runs by how many minima each recorded. With a
+    trajectory_dir, the report lists each run's trajectory_file_name in
+    that directory.
     """
     names = [f"C{i + 1}" for i in range(len(result.communities))]
     entries = [community_entry(g, n, c) for n, c in zip(names, result.communities)]
     covered = sum(1 for t in result.trajectories if t.covers_graph)
+    minima_counts = Counter(len(t.minima) for t in result.trajectories)
     if include_ground_state:
         whole = Community(
             nodes=frozenset(range(g.n)),
@@ -132,7 +135,7 @@ def build_report(
         },
         "seeds": {
             "total": len(result.trajectories),
-            "histogram": {str(k): v for k, v in sorted(result.histogram.items())},
+            "histogram": {str(k): v for k, v in sorted(minima_counts.items())},
             "every_seed_recorded_a_minimum": all(
                 t.minima and t.failure is None for t in result.trajectories
             ),
@@ -274,11 +277,6 @@ def report_graph(report: dict) -> Graph:
     return Graph(labels, [(i, j, 1.0) for i, j in sorted(pairs)])
 
 
-def same_graph_size(report: dict, g: Graph) -> bool:
-    """True when a loaded report was made on a graph with g's node and link counts."""
-    return report["graph"]["n"] == g.n and report["graph"]["m"] == g.m
-
-
 def communities_from_report(g: Graph, report: dict) -> tuple[list[Community], list[str]]:
     """Community records (indices against g) and names of a loaded report.
 
@@ -286,7 +284,8 @@ def communities_from_report(g: Graph, report: dict) -> tuple[list[Community], li
     is malformed (nodes, links and boundary must be lists, each link a
     two-item list), two entries share a name, an entry names a node that g
     lacks, or its links, as unordered pairs, are not exactly the links among
-    its nodes on g: they are checked, not stored.
+    its nodes on g: they are checked, not stored. boundary is taken as
+    listed; check_boundaries checks it against g.
     """
     out = []
     names = []
@@ -320,6 +319,14 @@ def communities_from_report(g: Graph, report: dict) -> tuple[list[Community], li
         seen.add(name)
         names.append(name)
     return out, names
+
+
+def check_boundaries(g: Graph, communities: list[Community], names: list[str]) -> None:
+    """Raise ReportError at the first community, as read by communities_from_report,
+    whose boundary is not its members with a link leaving it on g."""
+    for k, (name, c) in enumerate(zip(names, communities)):
+        if c.boundary != boundary_nodes(g, c.nodes):
+            raise ReportError(f"community entry {k} ({name}): its boundary is not its members with a link leaving it")
 
 
 def trajectory_file_name(g: Graph, traj: Trajectory) -> str:

@@ -77,7 +77,8 @@ def test_detect_single_seed_with_trajectories(tmp_path, capsys):
     assert [c["node_count"] for c in report["communities"]] == [29, 21]
     files = report["trajectories"]["files"]
     assert len(files) == 1
-    rows = list(csv.reader((traj_dir / files[0]).open()))
+    with (traj_dir / files[0]).open() as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["step", "action", "node", "psi", "size"]
     records = [r for r in rows[1:] if r[1] == "record-minimum"]
     assert [int(r[4]) for r in records] == [21, 29]
@@ -250,6 +251,7 @@ def test_oracle_compare_flags_fabricated_community(tmp_path, capsys):
     fake["node_count"] = 3
     fake["links"] = [["1", "2"], ["1", "3"], ["2", "3"]]
     fake["link_count"] = 3
+    fake["boundary"] = ["3"]
     report["communities"].append(fake)
     report_path.write_text(json.dumps(report))
     code, out, err = run_cli(["oracle", str(edges), "--compare", str(report_path)], capsys)
@@ -279,6 +281,9 @@ def test_verify_tampered_report_exit_5(karate_report, tmp_path, capsys, extra):
     entry["node_count"] += 1
     entry["links"] = [list(pair) for pair in KARATE_EDGE_PAIRS if set(pair) <= set(entry["nodes"])]
     entry["link_count"] = len(entry["links"])
+    inside = set(entry["nodes"])
+    leaving = {u for pair in KARATE_EDGE_PAIRS for u, v in (pair, pair[::-1]) if u in inside and v not in inside}
+    entry["boundary"] = sorted(leaving, key=int)
     tampered = tmp_path / "tampered.json"
     tampered.write_text(json.dumps(report))
     code, out, err = run_cli(
@@ -313,7 +318,7 @@ def test_verify_fails_a_community_without_an_internal_link(tmp_path, capsys, nod
     cut, so its certificate fails instead of the command crashing."""
     edges, report_path = _two_triangle_report(tmp_path)
     report = json.loads(report_path.read_text())
-    report["communities"][0].update(nodes=nodes, links=[], boundary=[])
+    report["communities"][0].update(nodes=nodes, links=[], boundary=nodes)  # each has a link leaving
     report_path.write_text(json.dumps(report))
     capsys.readouterr()
     code, out, err = run_cli(["verify", str(edges), "--report", str(report_path)], capsys)
@@ -385,6 +390,7 @@ MALFORMED_REPORTS = {
     ),
     "entry-without-name": _edit("communities", 0, "name"),
     "no-graph-n": _edit("graph", "n"),
+    "graph-a-list": lambda report: dict(report, graph=list(report["graph"])),
     "duplicate-name": _edit("communities", 1, "name", value="C1"),
     # hierarchy would otherwise run on a stand-in graph with an extra, isolated node
     "duplicate-label": lambda report: _edit("graph", "labels", value=[*report["graph"]["labels"], "1"])(report),
@@ -591,6 +597,25 @@ def test_report_links_not_the_links_among_the_nodes_exit_2(tmp_path, capsys, com
 
 
 @pytest.mark.parametrize("command", ["verify", "oracle"])
+@pytest.mark.parametrize("boundary", [[], ["2", "3"], ["3", "5"]], ids=["empty", "inner-nodes", "a-non-member"])
+def test_report_boundary_not_the_boundary_of_the_nodes_exit_2(tmp_path, capsys, command, boundary):
+    """verify and oracle --compare refuse an entry whose boundary is not its
+    members with a link leaving it: hierarchy tells boundary-overlap from
+    permeating pairs by it."""
+    edges, report_path = _two_triangle_report(tmp_path)
+    report = json.loads(report_path.read_text())
+    entry = report["communities"][0]
+    assert (entry["nodes"], entry["boundary"]) == (["1", "2", "3", "4"], ["4"])
+    entry["boundary"] = boundary
+    report_path.write_text(json.dumps(report))
+    capsys.readouterr()
+    code, out, err = run_cli(REPORT_COMMANDS[command](str(edges), str(report_path)), capsys)
+    _assert_one_error(code, err)
+    assert "community entry 0 (C1): its boundary is not its members with a link leaving it" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["verify", "oracle"])
 def test_report_of_another_graph_exit_2(tmp_path, capsys, command):
     """A report made on another graph is refused, not checked community by community."""
     _, report_path = _two_triangle_report(tmp_path)
@@ -603,13 +628,28 @@ def test_report_of_another_graph_exit_2(tmp_path, capsys, command):
     assert out == ""
 
 
-@pytest.mark.parametrize("command", ["detect", "oracle", "linegraph"])
-def test_edge_list_not_utf8_exit_2(tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "command, content",
+    [("detect", b"1 2\n2 \xff\n"), ("oracle", b"1 2\n2 \xff\n"), ("linegraph", b"1 2\n2 \xff\n"), ("detect", None)],
+    ids=["detect", "oracle", "linegraph", "detect-absent"],
+)
+def test_edge_list_not_utf8_exit_2(tmp_path, capsys, command, content):
+    """An edge list that is not UTF-8, or (content None) not there, is refused as input."""
     edges = tmp_path / "bad.edges"
-    edges.write_bytes(b"1 2\n2 \xff\n")
+    if content is not None:
+        edges.write_bytes(content)
     code, out, err = run_cli([command, str(edges)], capsys)
     _assert_one_error(code, err, "input")
     assert out == ""
+
+
+@pytest.mark.parametrize("command", [["detect"], ["verify", "--report", "absent.json"], ["linegraph"]], ids=lambda c: c[0])
+def test_edge_list_without_links_exit_2(tmp_path, capsys, command):
+    """An edge list of comments only is refused before any report is read."""
+    edges = tmp_path / "comments.edges"
+    edges.write_text("# no links here\n\n")
+    code, out, err = run_cli([command[0], str(edges), *command[1:]], capsys)
+    assert (code, out, err) == (2, "", "nodecut: error[empty-graph]: input contains no links\n")
 
 
 OUTPUT_WRITES = {

@@ -10,6 +10,7 @@ from nodecut import (
     Graph,
     SubgraphState,
     boundary_nodes,
+    builtin_graph,
     edge_list_text,
     induced_links,
     is_connected,
@@ -35,6 +36,8 @@ def test_load_karate(karate):
     assert karate.unit_weighted
     assert karate.degrees[karate.index_of("1")] == 16
     assert karate.degrees[karate.index_of("34")] == 17
+    with pytest.raises(KeyError, match="unknown dataset 'nope'; available: karate"):
+        builtin_graph("nope")
 
 
 def test_karate_edge_list_matches_networkx():
@@ -88,7 +91,13 @@ def test_merged_weight_overflow_is_rejected():
 
 def test_graph_rejects_non_finite_and_out_of_range_weights():
     """Weights within WEIGHT_RANGE cannot sum to an infinite degree, so the
-    weights whose degrees would overflow are refused one by one."""
+    weights whose degrees would overflow are refused one by one. A Graph
+    built directly refuses the links load_edge_list refuses by line."""
+    with pytest.raises(EdgeListError, match="self-loop at node 'a'"):
+        Graph(["a", "b"], [(0, 1, 1.0), (0, 0, 1.0)])
+    for weight in (0.0, -1.0):
+        with pytest.raises(EdgeListError, match=r"non-positive weight on link \(a, b\)"):
+            Graph(["a", "b"], [(0, 1, weight)])
     with pytest.raises(EdgeListError, match="non-finite weight on link"):
         Graph(["a", "b"], [(0, 1, float("inf"))])
     with pytest.raises(EdgeListError, match=r"weight 1e\+308 on link \(a, b\) is outside \[1e-100, 1e\+100\]"):

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import pickle
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from nodecut import (
     Community,
+    DetectionResult,
     SubgraphState,
     TieBreakPolicy,
     Trajectory,
@@ -280,7 +282,7 @@ def test_run_all_seeds_karate_table(karate, karate_result, karate_named):
         assert community.psi == pytest.approx(KARATE_PSI[name], abs=5e-4)
         assert community.seed_count == KARATE_SEED_COUNTS[name]
         assert community.boundary == frozenset(boundary_nodes(karate, community.nodes))
-    assert karate_result.histogram == {1: 27, 2: 42, 3: 9}
+    assert Counter(len(t.minima) for t in karate_result.trajectories) == {1: 27, 2: 42, 3: 9}
     assert all(len(t.minima) >= 1 for t in karate_result.trajectories)
 
 
@@ -319,7 +321,7 @@ def test_random_policy_still_finds_the_seven(karate):
     eighth = frozenset("1 2 5 6 7 11 12 17 18 22".split())
     assert set(found) == set(KARATE_NODES.values()) | {eighth}
     assert (found[eighth].psi, found[eighth].seed_count) == (0.1875, 5)
-    assert res.histogram == {1: 27, 2: 37, 3: 14}
+    assert Counter(len(t.minima) for t in res.trajectories) == {1: 27, 2: 37, 3: 14}
 
 
 def test_deterministic_runs_are_identical(karate):
@@ -383,7 +385,7 @@ def test_a_run_that_exhausts_its_budget_returns_its_trajectory(monkeypatch):
         assert t.failure.endswith("no progress after 5 phases")
         assert t.minima and not t.covers_graph
         assert t.final_nodes in t.minima and t.final_psi == psi(g, t.final_nodes)
-    assert sum(res.histogram.values()) == 15
+    assert Counter(len(t.minima) for t in res.trajectories) == {1: 13, 2: 2}  # failed runs included
     assert len(res.communities) == 3
 
 
@@ -786,6 +788,7 @@ def test_records_keep_their_value_semantics(karate, karate_result):
     assert (whole.seed_count, whole.stability) == (0, None)
     run = Trajectory(0, (0, 1), [], [], frozenset({0, 1}), 0.0, True)
     assert run.failure is None
+    assert DetectionResult._fields == ("communities", "trajectories")
 
 
 # large-fuzz graphs (spreads 1.9e11-8.4e11) on which random-policy sweeps

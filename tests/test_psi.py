@@ -47,6 +47,9 @@ def test_psi_undefined_without_internal_links(karate):
     with pytest.raises(ZeroInternalDegree):
         # nodes 15 and 16 are not adjacent
         psi(karate, indices_of(karate, {"15", "16"}))
+    for nodes in (set(), {0}, indices_of(karate, {"15", "16"})):
+        with pytest.raises(ZeroInternalDegree):
+            SubgraphState(karate, nodes)
 
 
 def test_make_state_path():
