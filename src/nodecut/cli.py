@@ -6,7 +6,8 @@ Exit codes:
     0  success
     1  oracle --compare found communities outside the exact-minima set
     2  usage, input, report, or output errors (includes input that is not
-       UTF-8 and an output file that cannot be written)
+       UTF-8, an output file that cannot be written, and a report entry
+       other than the one detect writes for its nodes)
     3  disconnected input without --allow-disconnected
     4  graph exceeds the oracle enumeration cap and --force was not given
     5  a community in the report fails the local-minimum certificate
@@ -136,13 +137,13 @@ def _write_files(outputs: list[tuple[str, str | Iterable[str]]]):
 def _checked_communities(g: Graph, path: str):
     """The communities and names of the report at path, each entry checked against g;
     exit 2 when the report was made on a graph of another size."""
-    from .report import check_boundaries, communities_from_report, load_report
+    from .report import check_on_graph, communities_from_report, load_report
 
     report = load_report(path)
     if report["graph"]["n"] != g.n or report["graph"]["m"] != g.m:
         _fail(2, "compare", "report graph size does not match the input graph")
     communities, names = communities_from_report(g, report)
-    check_boundaries(g, communities, names)
+    check_on_graph(g, communities, names)
     return communities, names
 
 
@@ -244,6 +245,8 @@ def cmd_oracle(args) -> int:
         _fail(2, "usage", f"--max-nodes must be at least 2, not {args.max_nodes}")
     g, source = _load_graph(args)
     _check_output_path(args.out)
+    if args.compare:  # a refused report need not wait for the enumeration
+        greedy_sets = {c.nodes: name for c, name in zip(*_checked_communities(g, args.compare))}
     max_nodes = None if args.force else (DEFAULT_MAX_NODES if args.max_nodes is None else args.max_nodes)
     try:
         minima = exact_local_minima(g, max_nodes=max_nodes)
@@ -266,8 +269,6 @@ def cmd_oracle(args) -> int:
     }
     code = 0
     if args.compare:
-        communities, names = _checked_communities(g, args.compare)
-        greedy_sets = {c.nodes: name for c, name in zip(communities, names) if len(c.nodes) < g.n}
         exact_sets = set(minima)
         greedy_only = sorted(name for nodes, name in greedy_sets.items() if nodes not in exact_sets)
         oracle_only = [e["nodes"] for nodes, e in zip(minima, entries) if nodes not in greedy_sets]
@@ -292,52 +293,45 @@ def cmd_oracle(args) -> int:
 def cmd_verify(args) -> int:
     from .landscape import verify_local_minimum
     from .linegraph import build_line_graph
-    from .psi import psi
-    from .report import dumps_report, round12
+    from .report import dumps_report
 
     g, _ = _load_graph(args)
     communities, names = _checked_communities(g, args.report)
     run_equivalence = args.equivalence or g.unit_weighted
     lg = build_line_graph(g) if run_equivalence else None
     checks = []
-    certificate_ok = True
-    max_residual = None
+    residuals = []
     for name, c in zip(names, communities):
-        # a node set without an internal link is no place of the landscape and has no psi
-        linked = bool(induced_links(g, c.nodes))
         connected = is_connected(g, c.nodes)
-        ok = linked and connected and verify_local_minimum(g, c.nodes)
-        certificate_ok = certificate_ok and ok
-        residual = None
-        if run_equivalence and linked:
-            residual = check_equivalence(g, c.nodes, lg)
-            max_residual = residual if max_residual is None else max(max_residual, residual)
+        residual = check_equivalence(g, c.nodes, lg) if run_equivalence else None
+        residuals.append(residual)
         checks.append(
             {
                 "name": name,
                 "node_count": len(c.nodes),
-                "psi": round12(psi(g, c.nodes)) if linked else None,
+                "psi": c.psi,
                 "connected": connected,
-                "local_minimum": ok,
+                "local_minimum": connected and verify_local_minimum(g, c.nodes),
                 "equivalence_residual": None if residual is None else float(f"{residual:.6g}"),
             }
         )
+    max_residual = max(residuals, default=None) if run_equivalence else None
     doc = {
         "checks": checks,
-        "all_local_minima": certificate_ok,
+        "all_local_minima": all(check["local_minimum"] for check in checks),
         "equivalence_checked": run_equivalence,
         "equivalence_tolerance": EQUIVALENCE_TOL,
         "max_equivalence_residual": None if max_residual is None else float(f"{max_residual:.6g}"),
     }
     _write_files([("-", dumps_report(doc))])
-    if not certificate_ok:
+    if not doc["all_local_minima"]:
         bad = [c["name"] for c in checks if not c["local_minimum"]]
         print(
             f"nodecut: error[certificate]: not a local minimum: {', '.join(bad)}",
             file=sys.stderr,
         )
         return 5
-    if run_equivalence and max_residual is not None and max_residual >= EQUIVALENCE_TOL:
+    if max_residual is not None and max_residual >= EQUIVALENCE_TOL:
         print(
             f"nodecut: error[equivalence]: max residual {max_residual:.3g} "
             f"exceeds {EQUIVALENCE_TOL:g}",
@@ -356,12 +350,10 @@ def cmd_hierarchy(args) -> int:
     _check_output_path(args.json)
     g = report_graph(report)
     communities, names = communities_from_report(g, report)
-    # an included ground state duplicates the DAG root
-    named = [(name, c) for name, c in zip(names, communities) if len(c.nodes) < g.n]
-    dag = build_polyhierarchy(g, [c for _, c in named], [name for name, _ in named])
+    dag = build_polyhierarchy(g, communities, names)
     outputs = [(args.dot or "-", dag_to_dot(dag))]
     if args.dot or args.json:
-        outputs.append((args.json or "-", hierarchy_json(g, dag, [c for _, c in named])))
+        outputs.append((args.json or "-", hierarchy_json(g, dag, communities)))
     _write_files(outputs)
     return 0
 

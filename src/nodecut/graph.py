@@ -96,7 +96,7 @@ class Graph:
 
     __slots__ = (
         "n", "m", "labels", "adj", "degrees", "link_ends", "link_weights",
-        "order", "rank", "components", "unit_weighted", "_index", "_link",
+        "order", "rank", "components", "unit_weighted", "_index",
     )
 
     def __init__(self, labels, links):
@@ -152,7 +152,6 @@ class Graph:
         self.link_ends = tuple(ends)
         self.link_weights = tuple(weights)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
-        self._link = {pair: lid for lid, (u, v) in enumerate(ends) for pair in ((u, v), (v, u))}
         self.order = tuple(sorted(range(n), key=lambda i: label_sort_key(self.labels[i])))
         self.rank = tuple(sorted(range(n), key=self.order.__getitem__))  # inverse of order
         self.components = len(connected_components(self))
@@ -164,10 +163,11 @@ class Graph:
 
     def find_link(self, u_label: str, v_label: str) -> int:
         """Link id joining two labels; KeyError if the link does not exist."""
-        lid = self._link.get((self.index_of(u_label), self.index_of(v_label)))
-        if lid is None:
-            raise KeyError(f"no link ({u_label}, {v_label})")
-        return lid
+        v = self.index_of(v_label)
+        for j, _, lid in self.adj[self.index_of(u_label)]:
+            if j == v:
+                return lid
+        raise KeyError(f"no link ({u_label}, {v_label})")
 
     def link_label_pair(self, lid: int) -> tuple[str, str]:
         u, v = self.link_ends[lid]

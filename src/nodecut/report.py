@@ -9,7 +9,7 @@ import re
 from collections import Counter
 from json.encoder import encode_basestring_ascii
 
-from .errors import ReportError
+from .errors import ReportError, ZeroInternalDegree
 from .graph import ROOT, Community, Graph, boundary_nodes, induced_links
 
 # DetectionResult, TieBreakPolicy and Trajectory (nodecut.greedy) appear in
@@ -22,7 +22,7 @@ __all__ = [
     "load_report",
     "report_graph",
     "communities_from_report",
-    "check_boundaries",
+    "check_on_graph",
     "sorted_labels",
     "round12",
     "link_label_pairs",
@@ -258,11 +258,8 @@ def load_report(path: str) -> dict:
 
 
 def report_graph(report: dict) -> Graph:
-    """Stand-in for a report's input graph: its labels and the links its communities name.
-
-    Enough for communities_from_report, which rejects the malformed entries
-    skipped here; weights and degrees are not the input graph's.
-    """
+    """Stand-in for a report's input graph: its labels and the links its communities name, of
+    unit weight; communities_from_report refuses the malformed entries skipped here."""
     labels = report["graph"]["labels"]
     index = {str(lab): i for i, lab in enumerate(labels)}
     pairs = set()
@@ -277,56 +274,67 @@ def report_graph(report: dict) -> Graph:
     return Graph(labels, [(i, j, 1.0) for i, j in sorted(pairs)])
 
 
-def communities_from_report(g: Graph, report: dict) -> tuple[list[Community], list[str]]:
-    """Community records (indices against g) and names of a loaded report.
+# how communities_from_report reads each Community field from the entry key of its name
+_ENTRY_FIELDS = {
+    "nodes": lambda g, labels: frozenset(map(g.index_of, labels)),
+    "psi": lambda g, value: float(value),
+    "boundary": lambda g, labels: frozenset(map(g.index_of, labels)),
+    "seed_count": lambda g, value: max(0, int(value)),  # equal to value (and its type) only for a non-negative int
+    "stability": lambda g, value: None if value is None else float(value),
+}
 
-    The only reader of community entries. Raises ReportError when an entry
-    is malformed (nodes, links and boundary must be lists, each link a
-    two-item list), two entries share a name, an entry names a node that g
-    lacks, or its links, as unordered pairs, are not exactly the links among
-    its nodes on g: they are checked, not stored. boundary is taken as
-    listed; check_boundaries checks it against g.
+
+def communities_from_report(g: Graph, report: dict) -> tuple[list[Community], list[str]]:
+    """Community records (indices against g) and names of a loaded report's entries,
+    but for the whole-graph entry (an included ground state).
+
+    The only reader of community entries: an entry is valid only if community_entry,
+    which detect writes with, gives it back exactly from its name, nodes, psi,
+    boundary, seed_count and stability on g. seed_count's value is a fact about the
+    runs that no graph can check. Raises ReportError naming the entry and the first
+    key that cannot be read or differs, or a repeated name. check_on_graph checks
+    psi and boundary on the input graph.
     """
-    out = []
-    names = []
-    seen = set()
+    out, names, seen = [], [], set()
     for k, entry in enumerate(report["communities"]):
-        try:
-            name = str(entry["name"])
-            if not all(isinstance(entry[key], list) for key in ("nodes", "links", "boundary")):
-                raise TypeError("nodes, links and boundary must be lists")
-            if not all(isinstance(link, list) and len(link) == 2 for link in entry["links"]):
-                raise TypeError("each link must be a two-item list")
-            nodes = frozenset(g.index_of(lab) for lab in entry["nodes"])
-            listed = sorted(g.find_link(u, v) for u, v in entry["links"])
-            out.append(
-                Community(
-                    nodes=nodes,
-                    psi=float(entry["psi"]),
-                    boundary=frozenset(g.index_of(lab) for lab in entry["boundary"]),
-                    seed_count=int(entry.get("seed_count", 0)),
-                    stability=entry.get("stability"),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ReportError(
-                f"community entry {k} is malformed or not in the graph: {exc}"
-            ) from exc
-        if listed != sorted(induced_links(g, nodes)):
-            raise ReportError(f"community entry {k} ({name}): its links are not the links among its nodes")
+        if not isinstance(entry, dict) or "name" not in entry:
+            raise ReportError(f"community entry {k} is not an object with a name")
+        name = str(entry["name"])
+        fields = {}
+        for key, read in _ENTRY_FIELDS.items():
+            try:
+                fields[key] = read(g, entry[key])
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise ReportError(f"community entry {k} ({name}): cannot read {key}: {exc!r}") from exc
+        c = Community(**fields)
+        written = community_entry(g, name, c)
+        for key in (*written, *entry):
+            same = key in entry and key in written and type(entry[key]) is type(written[key])
+            if not (same and entry[key] == written[key]):
+                raise ReportError(f"community entry {k} ({name}): {key} differs from what detect writes for its nodes")
         if name in seen:
             raise ReportError(f"duplicate community name {name!r}")
         seen.add(name)
-        names.append(name)
+        if len(c.nodes) < g.n:
+            out.append(c)
+            names.append(name)
     return out, names
 
 
-def check_boundaries(g: Graph, communities: list[Community], names: list[str]) -> None:
-    """Raise ReportError at the first community, as read by communities_from_report,
-    whose boundary is not its members with a link leaving it on g."""
-    for k, (name, c) in enumerate(zip(names, communities)):
+def check_on_graph(g: Graph, communities: list[Community], names: list[str]) -> None:
+    """Raise ReportError at the first community (read by communities_from_report against the
+    input graph g) without an internal link, or whose psi or boundary is not its nodes' on g."""
+    from .psi import psi  # hierarchy reads reports without loading psi
+
+    for name, c in zip(names, communities):
+        try:
+            value = round12(psi(g, c.nodes))
+        except ZeroInternalDegree:
+            raise ReportError(f"community {name}: its nodes have no internal link") from None
+        if c.psi != value:
+            raise ReportError(f"community {name}: psi {c.psi!r} is not the psi of its nodes, {value!r}")
         if c.boundary != boundary_nodes(g, c.nodes):
-            raise ReportError(f"community entry {k} ({name}): its boundary is not its members with a link leaving it")
+            raise ReportError(f"community {name}: its boundary is not its members with a link leaving it")
 
 
 def trajectory_file_name(g: Graph, traj: Trajectory) -> str:

@@ -11,14 +11,23 @@ from pathlib import Path
 
 import pytest
 
-from nodecut import MAX_WEIGHT_RATIO, WEIGHT_RANGE, cli, greedy
-from conftest import KARATE_EDGE_PAIRS, KARATE_NODES, OSCILLATING, PATH3, TWO_TRIANGLES, fuzz_graph
+from nodecut import MAX_WEIGHT_RATIO, WEIGHT_RANGE, Community, cli, greedy, karate_graph, load_edge_list, psi
+from nodecut.graph import boundary_nodes
+from nodecut.report import community_entry
+from conftest import KARATE_NODES, OSCILLATING, PATH3, TWO_TRIANGLES, fuzz_graph
 
 
 def run_cli(args, capsys):
     code = cli.main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def written_entry(g, name, labels, seed_count=1, stability=None):
+    """The entry detect writes for a community of the given node labels on g."""
+    nodes = frozenset(map(g.index_of, labels))
+    community = Community(nodes, psi(g, nodes), frozenset(boundary_nodes(g, nodes)), seed_count, stability)
+    return community_entry(g, name, community)
 
 
 @pytest.fixture()
@@ -245,14 +254,7 @@ def test_oracle_compare_flags_fabricated_community(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     assert cli.main(["detect", str(edges), "--out", str(report_path)]) == 0
     report = json.loads(report_path.read_text())
-    fake = dict(report["communities"][0])
-    fake["name"] = "C9"
-    fake["nodes"] = ["1", "2", "3"]
-    fake["node_count"] = 3
-    fake["links"] = [["1", "2"], ["1", "3"], ["2", "3"]]
-    fake["link_count"] = 3
-    fake["boundary"] = ["3"]
-    report["communities"].append(fake)
+    report["communities"].append(written_entry(load_edge_list(TWO_TRIANGLES), "C9", ["1", "2", "3"]))
     report_path.write_text(json.dumps(report))
     code, out, err = run_cli(["oracle", str(edges), "--compare", str(report_path)], capsys)
     assert code == 1
@@ -276,14 +278,10 @@ def test_verify_karate_report_passes(karate_report, capsys):
 def test_verify_tampered_report_exit_5(karate_report, tmp_path, capsys, extra):
     # "34" keeps C5 connected but breaks the minimum; "9" disconnects it
     report = json.loads(karate_report.read_text())
-    entry = next(c for c in report["communities"] if c["name"] == "C5")
-    entry["nodes"].append(extra)
-    entry["node_count"] += 1
-    entry["links"] = [list(pair) for pair in KARATE_EDGE_PAIRS if set(pair) <= set(entry["nodes"])]
-    entry["link_count"] = len(entry["links"])
-    inside = set(entry["nodes"])
-    leaving = {u for pair in KARATE_EDGE_PAIRS for u, v in (pair, pair[::-1]) if u in inside and v not in inside}
-    entry["boundary"] = sorted(leaving, key=int)
+    k, entry = next((k, c) for k, c in enumerate(report["communities"]) if c["name"] == "C5")
+    report["communities"][k] = written_entry(
+        karate_graph(), "C5", [*entry["nodes"], extra], entry["seed_count"], entry["stability"]
+    )
     tampered = tmp_path / "tampered.json"
     tampered.write_text(json.dumps(report))
     code, out, err = run_cli(
@@ -315,21 +313,31 @@ def test_verify_passes_an_rng_report_on_a_spread_weighted_graph(tmp_path, capsys
 @pytest.mark.parametrize("nodes", [["1"], ["1", "4"]])
 def test_verify_fails_a_community_without_an_internal_link(tmp_path, capsys, nodes):
     """Such a set is no place of the landscape: it has no psi and no line-graph
-    cut, so its certificate fails instead of the command crashing."""
+    cut, so its entry is refused instead of the command crashing."""
     edges, report_path = _two_triangle_report(tmp_path)
     report = json.loads(report_path.read_text())
-    report["communities"][0].update(nodes=nodes, links=[], boundary=nodes)  # each has a link leaving
+    # each node has a link leaving
+    report["communities"][0].update(nodes=nodes, node_count=len(nodes), links=[], link_count=0, boundary=nodes)
     report_path.write_text(json.dumps(report))
     capsys.readouterr()
     code, out, err = run_cli(["verify", str(edges), "--report", str(report_path)], capsys)
-    assert code == 5
-    assert err == "nodecut: error[certificate]: not a local minimum: C1\n"
-    check = json.loads(out)["checks"][0]
-    assert (check["local_minimum"], check["psi"], check["equivalence_residual"]) == (
-        False,
-        None,
-        None,
-    )
+    _assert_one_error(code, err)
+    assert "community C1: its nodes have no internal link" in err
+    assert out == ""
+
+
+def test_verify_leaves_out_the_ground_state_of_a_disconnected_graph(tmp_path, capsys):
+    """The whole graph is no community: verify does not certify an included ground
+    state, which on a disconnected graph is not even connected."""
+    edges = tmp_path / "disjoint.edges"
+    edges.write_text("1 2\n1 3\n2 3\n4 5\n4 6\n5 6\n")
+    report_path = tmp_path / "report.json"
+    assert cli.main(["detect", str(edges), "--allow-disconnected", "--include-ground-state", "--out", str(report_path)]) == 0
+    assert [c["name"] for c in json.loads(report_path.read_text())["communities"]] == ["C0"]
+    capsys.readouterr()
+    code, out, err = run_cli(["verify", str(edges), "--report", str(report_path)], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["checks"] == []
 
 
 def test_verify_equivalence_exit_6_when_tolerance_impossible(karate_report, capsys, monkeypatch):
@@ -575,24 +583,72 @@ def test_report_link_not_in_graph_exit_2(tmp_path, capsys, command):
     assert out == ""
 
 
+# edit of the two-triangle report's entry C1 (nodes 1-4) -> the key its refusal names
+ENTRY_EDITS = {
+    "link-too-few": (lambda entry: entry["links"].pop(0), "links"),
+    # a link of the graph that leaves the community
+    "link-too-many": (lambda entry: entry["links"].append(["4", "5"]), "links"),
+    "links-reordered": (lambda entry: entry["links"].reverse(), "links"),
+    "node-count": (lambda entry: entry.update(node_count=7), "node_count"),
+    "link-count": (lambda entry: entry.update(link_count=99), "link_count"),
+    "stability-bogus": (lambda entry: entry.update(stability="bogus"), "stability"),
+    "seed-count-negative": (lambda entry: entry.update(seed_count=-1), "seed_count"),
+    "seed-count-a-float": (lambda entry: entry.update(seed_count=1.0), "seed_count"),
+    "seed-count-true": (lambda entry: entry.update(seed_count=True), "seed_count"),
+    # json writes Infinity, which int() cannot convert
+    "seed-count-infinite": (lambda entry: entry.update(seed_count=float("inf")), "seed_count"),
+    "psi-unrounded": (lambda entry: entry.update(psi=1 / 12), "psi"),
+    "psi-a-string": (lambda entry: entry.update(psi=str(entry["psi"])), "psi"),
+    "added-key": (lambda entry: entry.update(note="hand-edited"), "note"),
+    "missing-key": (lambda entry: entry.pop("stability"), "stability"),
+}
+
+
 @pytest.mark.parametrize("command", sorted(REPORT_COMMANDS))
-@pytest.mark.parametrize("edit", ["link-too-few", "link-too-many"])
+@pytest.mark.parametrize("edit", list(ENTRY_EDITS))
 def test_report_links_not_the_links_among_the_nodes_exit_2(tmp_path, capsys, command, edit):
-    """An entry whose links are not exactly those among its nodes is refused.
-    The ground state names every link, so hierarchy's stand-in graph has them all."""
+    """An entry that detect would not write for its nodes is refused, naming the
+    first key that differs: links not exactly those among its nodes in label
+    order, a count, or a value not in the form detect writes. The ground state
+    names every link, so hierarchy's stand-in graph has them all."""
     edges, report_path = _two_triangle_report(tmp_path, "--include-ground-state")
     report = json.loads(report_path.read_text())
     entry = report["communities"][1]
-    assert sorted(entry["nodes"]) == ["1", "2", "3", "4"]
-    if edit == "link-too-few":
-        del entry["links"][0]
-    else:
-        entry["links"].append(["4", "5"])  # a link of the graph that leaves the community
+    assert entry["nodes"] == ["1", "2", "3", "4"]
+    change, key = ENTRY_EDITS[edit]
+    change(entry)
     report_path.write_text(json.dumps(report))
     capsys.readouterr()
     code, out, err = run_cli(REPORT_COMMANDS[command](str(edges), str(report_path)), capsys)
     _assert_one_error(code, err)
-    assert "C1" in err and "links are not the links among its nodes" in err
+    assert "community entry 1 (C1)" in err and f" {key}" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_COMMANDS))
+def test_report_seed_count_is_taken_as_listed(tmp_path, capsys, command):
+    """No graph can check how many runs recorded a community."""
+    edges, report_path = _two_triangle_report(tmp_path)
+    report = json.loads(report_path.read_text())
+    report["communities"][0]["seed_count"] = 999
+    report_path.write_text(json.dumps(report))
+    capsys.readouterr()
+    code, _, err = run_cli(REPORT_COMMANDS[command](str(edges), str(report_path)), capsys)
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+def test_report_psi_not_the_psi_of_the_nodes_exit_2(tmp_path, capsys, command):
+    """verify and oracle --compare refuse an entry whose psi is not that of its
+    nodes on the input graph; hierarchy's stand-in graph has no weights to tell."""
+    edges, report_path = _two_triangle_report(tmp_path)
+    report = json.loads(report_path.read_text())
+    report["communities"][0]["psi"] = 0.9
+    report_path.write_text(json.dumps(report))
+    capsys.readouterr()
+    code, out, err = run_cli(REPORT_COMMANDS[command](str(edges), str(report_path)), capsys)
+    _assert_one_error(code, err)
+    assert "community C1: psi 0.9 is not the psi of its nodes, 0.0833333333333" in err
     assert out == ""
 
 
@@ -611,7 +667,7 @@ def test_report_boundary_not_the_boundary_of_the_nodes_exit_2(tmp_path, capsys, 
     capsys.readouterr()
     code, out, err = run_cli(REPORT_COMMANDS[command](str(edges), str(report_path)), capsys)
     _assert_one_error(code, err)
-    assert "community entry 0 (C1): its boundary is not its members with a link leaving it" in err
+    assert "community C1: its boundary is not its members with a link leaving it" in err
     assert out == ""
 
 
@@ -709,19 +765,33 @@ EARLY_OUTPUT_CHECKS = {
 }
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the inputs and output paths were checked")
+
+
 @pytest.mark.parametrize("write", list(EARLY_OUTPUT_CHECKS))
 def test_hierarchy_and_oracle_check_output_paths_before_the_work(tmp_path, capsys, monkeypatch, write):
     edges, report = _two_triangle_report(tmp_path)
     work, argv = EARLY_OUTPUT_CHECKS[write]
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started before the output paths were checked")
-
     for target in work:
-        monkeypatch.setattr(target, no_work)
+        monkeypatch.setattr(target, _no_work)
     capsys.readouterr()
     code, out, err = run_cli(argv(str(edges), str(report), str(tmp_path / "missing" / "x.json")), capsys)
     _assert_one_error(code, err, "output")
+    assert out == ""
+
+
+def test_oracle_checks_the_compared_report_before_enumerating(tmp_path, capsys, monkeypatch):
+    """A refused report ends oracle --compare before the enumeration, which on a
+    --force run of a large graph would take longer than any report check."""
+    edges, report_path = _two_triangle_report(tmp_path)
+    report = json.loads(report_path.read_text())
+    report["communities"][0]["psi"] = 0.9
+    report_path.write_text(json.dumps(report))
+    monkeypatch.setattr("nodecut.landscape.exact_local_minima", _no_work)
+    capsys.readouterr()
+    code, out, err = run_cli(["oracle", str(edges), "--compare", str(report_path)], capsys)
+    _assert_one_error(code, err)
     assert out == ""
 
 

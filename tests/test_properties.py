@@ -7,13 +7,16 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nodecut import Graph, cli
+from nodecut import Community, Graph, cli
 from nodecut.errors import EdgeListError
 from nodecut.graph import boundary_nodes, edge_list_text, induced_links, load_edge_list
 from nodecut.greedy import TieBreakPolicy, run_all_seeds
@@ -21,6 +24,7 @@ from nodecut.hierarchy import build_polyhierarchy, dag_to_dot
 from nodecut.report import (
     build_report,
     communities_from_report,
+    community_entry,
     dumps_report,
     link_label_pairs,
     report_graph,
@@ -173,20 +177,19 @@ def test_jobs_do_not_change_report_bytes(g, rng_seed):
 def test_detect_reports_round_trip(g, rng_seed, ground_state):
     """Every detect report loads against its input graph. Each entry lists
     the links among its nodes and their boundary, and loads back to the
-    detected node sets and boundaries."""
+    detected node sets and boundaries; an included ground state is left out."""
     policy = TieBreakPolicy() if rng_seed is None else TieBreakPolicy("random", rng_seed)
     result = run_all_seeds(g, policy)
     report = json.loads(dumps_report(build_report(g, result, policy, "g.edges", include_ground_state=ground_state)))
     loaded, names = communities_from_report(g, report)
-    assert names == [e["name"] for e in report["communities"]]
-    for entry, c in zip(report["communities"], loaded):
+    entries = report["communities"][ground_state:]
+    assert names == [e["name"] for e in entries]
+    for entry, c in zip(entries, loaded):
         links = induced_links(g, c.nodes)
         assert len(entry["links"]) == entry["link_count"] == len(links)
         assert {frozenset(pair) for pair in entry["links"]} == {frozenset(g.link_label_pair(lid)) for lid in links}
         assert set(entry["boundary"]) == {g.labels[i] for i in boundary_nodes(g, c.nodes)}
-    detected = [(frozenset(range(g.n)), frozenset())] * ground_state
-    detected += [(c.nodes, c.boundary) for c in result.communities]
-    assert [(c.nodes, c.boundary) for c in loaded] == detected
+    assert [(c.nodes, c.boundary) for c in loaded] == [(c.nodes, c.boundary) for c in result.communities]
 
 
 # labels JSON must escape ('"', '\\', non-ASCII) among numeric ones
@@ -198,38 +201,25 @@ ESCAPED_LABEL = st.one_of(
 
 @st.composite
 def hierarchy_reports(draw):
-    """Hand-edited-looking reports: any node and boundary sets on a random graph, each entry
-    listing the graph's links among its nodes, and an optional ground state."""
+    """Reports in the form detect writes, of any node and boundary sets on a random
+    graph, and an optional ground state."""
     labels = draw(st.lists(ESCAPED_LABEL, min_size=2, max_size=9, unique=True))
     n = len(labels)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    links = draw(st.sets(st.sampled_from(pairs), max_size=15))
+    g = Graph(labels, [(u, v, 1.0) for u, v in sorted(draw(st.sets(st.sampled_from(pairs), max_size=15)))])
     some_nodes = st.sets(st.integers(0, n - 1), min_size=1)
     entries = []
     for k in range(draw(st.integers(1, 7))):
-        # now and then the whole graph, which hierarchy leaves out as the DAG root
+        # now and then the whole graph, which the reader leaves out like a ground state
         nodes = set(range(n)) if draw(st.integers(0, 5)) == 0 else draw(some_nodes)
         # most members on the boundary, a few inside it, and now and then a non-member
         inner = draw(st.sets(st.integers(0, n - 1), max_size=2))
         boundary = (nodes - inner) | draw(st.sets(st.integers(0, n - 1), max_size=1))
-        own = [(u, v) for u, v in sorted(links) if u in nodes and v in nodes]
-        flip = draw(st.booleans())
-        entries.append(
-            {
-                "name": f"C{k + 1}" + draw(st.text(alphabet='"\\é ', max_size=2)),
-                "nodes": [labels[i] for i in nodes],
-                "boundary": [labels[i] for i in boundary],
-                # either end first, as a hand-edited report may list them
-                "links": [[labels[u], labels[v]] if (u + v + flip) % 2 else [labels[v], labels[u]] for u, v in own],
-                "psi": 0.5,
-            }
-        )
+        name = f"C{k + 1}" + draw(st.text(alphabet='"\\é ', max_size=2))
+        entries.append(community_entry(g, name, Community(frozenset(nodes), 0.5, frozenset(boundary))))
     if draw(st.booleans()):  # --include-ground-state
-        entries.insert(
-            0,
-            {"name": "C0", "nodes": labels, "boundary": [], "links": [[labels[u], labels[v]] for u, v in sorted(links)], "psi": 0.0},
-        )
-    return {"graph": {"n": n, "m": len(links), "labels": labels}, "communities": entries}
+        entries.insert(0, community_entry(g, "C0", Community(frozenset(range(n)), 0.0, frozenset())))
+    return {"graph": {"n": n, "m": g.m, "labels": labels}, "communities": entries}
 
 
 def reference_kind(a, b):
@@ -250,7 +240,7 @@ def pairs_document_text(report):
     g = report_graph(report)
     communities, names = communities_from_report(g, report)
     listed = {str(e["name"]): {g.find_link(u, v) for u, v in e["links"]} for e in report["communities"]}
-    named = [(name, c) for name, c in zip(names, communities) if len(c.nodes) < g.n]
+    named = list(zip(names, communities))
     dag = build_polyhierarchy(g, [c for _, c in named], [name for name, _ in named])
     pairs = []
     for i, (a, ca) in enumerate(named):
@@ -307,8 +297,32 @@ def test_streamed_hierarchy_json_is_dumps_report_of_the_pairs_document(report):
 def test_hierarchy_json_without_pairs(count, ground_state):
     """No named community or one, with and without the ground state: "pairs" is []."""
     labels = ["b", "10", "2"]
-    entries = [{"name": "C0", "nodes": labels, "boundary": [], "links": [["b", "2"], ["2", "10"]], "psi": 0.0}]
-    entries += [{"name": "C1", "nodes": ["2", "b"], "boundary": ["b"], "links": [["b", "2"]], "psi": 0.5}][:count]
+    g = Graph(labels, [(0, 2, 1.0), (2, 1, 1.0)])
+    entries = [community_entry(g, "C0", Community(frozenset({0, 1, 2}), 0.0, frozenset()))]
+    entries += [community_entry(g, "C1", Community(frozenset({2, 0}), 0.5, frozenset({0})))][:count]
     report = {"graph": {"n": 3, "m": 2, "labels": labels}, "communities": entries[not ground_state :]}
     text = assert_streamed_json_is_the_document(report)
     assert text.endswith('"pairs": []\n}\n')
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+"""
+
+
+def test_a_failing_property_test_is_reported_under_the_repository_settings(tmp_path):
+    """A failing @given test under this repository's pytest settings fails that
+    test (exit 1), not the session: no warning raised while reporting it
+    becomes an INTERNALERROR that stops every later test."""
+    (tmp_path / "test_fails.py").write_text(FAILING_PROPERTY)
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    argv = ["-m", "pytest", "-p", "no:cacheprovider", "-c", str(config), "--rootdir", str(tmp_path), "test_fails.py"]
+    run = subprocess.run([sys.executable, *argv], cwd=tmp_path, capture_output=True, text=True)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed" in run.stdout
