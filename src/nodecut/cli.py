@@ -147,26 +147,15 @@ def _checked_communities(g: Graph, path: str):
     return communities, names
 
 
-def _check_output_path(path: str | None, directory: bool = False):
-    """Fail before any work when an output path cannot be created.
-
-    A file needs an existing parent directory; a directory (created on
-    write) needs its nearest existing ancestor, or itself, to be a directory.
-    """
+def _check_output_path(path: str | None):
+    """Fail before any work when an output file cannot be created in an existing directory."""
     if path is None or path == "-":
         return
-    if directory:
-        probe = os.path.abspath(path)
-        while not os.path.exists(probe):
-            probe = os.path.dirname(probe)
-        if not os.path.isdir(probe):
-            _fail(2, "output", f"{path}: {probe} is not a directory")
-    else:
-        parent = os.path.dirname(path) or "."
-        if not os.path.isdir(parent):
-            _fail(2, "output", f"{path}: no such directory {parent}")
-        if os.path.isdir(path):
-            _fail(2, "output", f"{path}: is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        _fail(2, "output", f"{path}: no such directory {parent}")
+    if os.path.isdir(path):
+        _fail(2, "output", f"{path}: is a directory")
 
 
 def check_equivalence(g: Graph, nodes, lg) -> float:
@@ -191,11 +180,6 @@ def cmd_detect(args) -> int:
     policy = TieBreakPolicy(mode=mode, rng_seed=args.rng_seed)
     if g.components > 1 and not args.disconnected_ok:
         _fail(3, "disconnected-graph", "input graph is disconnected; pass --allow-disconnected to proceed")
-    _check_output_path(args.trajectories, directory=True)
-    out_dir = os.path.dirname(os.path.abspath(args.out or "-"))
-    if not args.trajectories or out_dir != os.path.abspath(args.trajectories):
-        _check_output_path(args.out)  # else the report goes in the directory made for the CSVs
-    started = time.perf_counter()
     seed_link = None
     if args.seed:
         try:
@@ -203,9 +187,17 @@ def cmd_detect(args) -> int:
             seed_link = g.find_link(u_label.strip(), v_label.strip())
         except (ValueError, KeyError):
             _fail(2, "seed", f"--seed {args.seed!r} is not a link of the graph")
-        result = merge_trajectories(g, [run_from_seed(g, seed_link, policy)])
-    else:
+    if args.trajectories:
+        try:
+            os.makedirs(args.trajectories, exist_ok=True)
+        except OSError as exc:
+            _fail(2, "output", f"{args.trajectories}: {exc.strerror or exc}")
+    _check_output_path(args.out)
+    started = time.perf_counter()
+    if seed_link is None:
         result = run_all_seeds(g, policy)
+    else:
+        result = merge_trajectories(g, [run_from_seed(g, seed_link, policy)])
     elapsed = time.perf_counter() - started
     report = build_report(
         g,
@@ -223,10 +215,6 @@ def cmd_detect(args) -> int:
             (os.path.join(args.trajectories, trajectory_file_name(g, t)), text)
             for t, text in zip(result.trajectories, texts)
         ]
-        try:
-            os.makedirs(args.trajectories, exist_ok=True)
-        except OSError as exc:
-            _fail(2, "output", f"{args.trajectories}: {exc.strerror or exc}")
     _write_files(outputs + [(args.out or "-", dumps_report(report))])
     print(
         f"detect: {len(result.trajectories)} seed run(s), "

@@ -601,6 +601,10 @@ ENTRY_EDITS = {
     "psi-a-string": (lambda entry: entry.update(psi=str(entry["psi"])), "psi"),
     "added-key": (lambda entry: entry.update(note="hand-edited"), "note"),
     "missing-key": (lambda entry: entry.pop("stability"), "stability"),
+    # links the stand-in graph of hierarchy skips when it reads the report
+    "links-not-a-list": (lambda entry: entry.update(links=5), "links"),
+    "link-of-one-node": (lambda entry: entry.update(links=[["1"]]), "links"),
+    "link-to-no-label": (lambda entry: entry.update(links=[["1", "nope"]]), "links"),
 }
 
 
@@ -684,6 +688,19 @@ def test_report_of_another_graph_exit_2(tmp_path, capsys, command):
     assert out == ""
 
 
+def test_other_package_error_ends_in_one_line_named_by_its_type(tmp_path, capsys, monkeypatch):
+    from nodecut.errors import ZeroInternalDegree
+
+    def no_internal_link(*args, **kwargs):
+        raise ZeroInternalDegree("the node set has no internal link")
+
+    edges, report_path = _two_triangle_report(tmp_path)
+    monkeypatch.setattr("nodecut.landscape.verify_local_minimum", no_internal_link)
+    capsys.readouterr()
+    code, out, err = run_cli(["verify", str(edges), "--report", str(report_path)], capsys)
+    assert (code, out, err) == (2, "", "nodecut: error[ZeroInternalDegree]: the node set has no internal link\n")
+
+
 @pytest.mark.parametrize(
     "command, content",
     [("detect", b"1 2\n2 \xff\n"), ("oracle", b"1 2\n2 \xff\n"), ("linegraph", b"1 2\n2 \xff\n"), ("detect", None)],
@@ -729,22 +746,40 @@ def test_output_write_failure_exit_2(tmp_path, capsys, write):
     assert out == ""
 
 
-@pytest.mark.parametrize("where", ["out", "trajectories"])
+def _no_seed_runs(*args, **kwargs):
+    raise AssertionError("seed runs started before the output paths were checked")
+
+
+@pytest.mark.parametrize("where", ["out", "out-a-directory", "trajectories"])
 def test_detect_checks_output_paths_before_running_seeds(tmp_path, capsys, monkeypatch, where):
     edges, report = _two_triangle_report(tmp_path)
-
-    def no_run(*args, **kwargs):
-        raise AssertionError("seed runs started before the output paths were checked")
-
-    monkeypatch.setattr("nodecut.greedy.run_all_seeds", no_run)
+    monkeypatch.setattr("nodecut.greedy.run_all_seeds", _no_seed_runs)
     bad = {
         "out": ["--out", str(tmp_path / "missing" / "r.json")],
+        "out-a-directory": ["--out", str(tmp_path)],
         "trajectories": ["--trajectories", str(report)],  # an existing file
     }
     capsys.readouterr()
     code, out, err = run_cli(["detect", str(edges), *bad[where]], capsys)
     _assert_one_error(code, err, "output")
     assert out == ""
+    if where == "out-a-directory":
+        assert err == f"nodecut: error[output]: {tmp_path}: is a directory\n"
+
+
+def test_detect_makes_the_trajectory_directory_before_running_seeds(tmp_path, capsys, monkeypatch):
+    """A trajectory directory that cannot be made for any reason ends detect before the sweep."""
+    edges, _ = _two_triangle_report(tmp_path)
+    traj = tmp_path / "traj"
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr("nodecut.greedy.run_all_seeds", _no_seed_runs)
+    monkeypatch.setattr("nodecut.cli.os.makedirs", refuse)
+    capsys.readouterr()
+    code, out, err = run_cli(["detect", str(edges), "--trajectories", str(traj)], capsys)
+    assert (code, out, err) == (2, "", f"nodecut: error[output]: {traj}: Permission denied\n")
 
 
 # command -> (the functions of the work it must not start, argv with a bad output path)
@@ -763,6 +798,8 @@ EARLY_OUTPUT_CHECKS = {
         lambda edges, report, bad: ["oracle", edges, "--out", bad],
     ),
 }
+# the same commands with an existing directory as the output path
+EARLY_OUTPUT_CHECKS.update({f"{write}-a-directory": entry for write, entry in list(EARLY_OUTPUT_CHECKS.items())})
 
 
 def _no_work(*args, **kwargs):
@@ -775,10 +812,13 @@ def test_hierarchy_and_oracle_check_output_paths_before_the_work(tmp_path, capsy
     work, argv = EARLY_OUTPUT_CHECKS[write]
     for target in work:
         monkeypatch.setattr(target, _no_work)
+    bad = tmp_path if write.endswith("-a-directory") else tmp_path / "missing" / "x.json"
     capsys.readouterr()
-    code, out, err = run_cli(argv(str(edges), str(report), str(tmp_path / "missing" / "x.json")), capsys)
+    code, out, err = run_cli(argv(str(edges), str(report), str(bad)), capsys)
     _assert_one_error(code, err, "output")
     assert out == ""
+    if write.endswith("-a-directory"):
+        assert err == f"nodecut: error[output]: {tmp_path}: is a directory\n"
 
 
 def test_oracle_checks_the_compared_report_before_enumerating(tmp_path, capsys, monkeypatch):
@@ -857,6 +897,31 @@ def test_hierarchy_writes_both_outputs_or_neither(karate_report, tmp_path, capsy
     _assert_one_error(code, err, "output")
     assert out == ""
     assert set(tmp_path.iterdir()) == before  # no ok.dot, no temporary file
+
+
+def test_failed_staged_write_removes_its_temporary_files(karate_report, tmp_path, capsys, monkeypatch):
+    """A move into place that fails once both texts are staged leaves the old
+    file as it was, no new file, and no temporary file."""
+    old = tmp_path / "old.dot"
+    old.write_text("old")
+    replace = os.replace
+    calls = []
+
+    def fail_first(src, dst):
+        calls.append(dst)
+        if len(calls) == 1:
+            raise OSError(5, "Input/output error")
+        replace(src, dst)
+
+    monkeypatch.setattr("nodecut.cli.os.replace", fail_first)
+    code, out, err = run_cli(
+        ["hierarchy", "--report", str(karate_report), "--dot", str(old), "--json", str(tmp_path / "new.json")],
+        capsys,
+    )
+    assert (code, out, err) == (2, "", f"nodecut: error[output]: {old}: Input/output error\n")
+    assert old.read_text() == "old"
+    assert not (tmp_path / "new.json").exists()
+    assert not list(tmp_path.glob(".*.tmp"))
 
 
 def test_hierarchy_dash_waits_for_the_file_writes(karate_report, tmp_path, capsys):
