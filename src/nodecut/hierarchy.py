@@ -9,12 +9,16 @@ The polyhierarchy is the transitive reduction of strict node-set containment
 over the communities plus a synthetic whole-graph root C0; a community may
 have several parents.
 
-hierarchy_json streams the `hierarchy --json` document, one pair after
-another, so its size on disk is never held in memory. It works on int
-bitsets: node and boundary masks with bit g.rank[i] for node i, and masks of
-the links among the nodes, one bit per link in label order. Every label and every link is
-rendered as JSON text once, and a pair's text is joined from those pieces;
-the bytes are those of dumps_report over the document.
+hierarchy_json streams the `hierarchy --json` document, one row of pairs
+after another, so its size on disk is never held in memory. Every label and
+every link is rendered as JSON text once. Each node and each link has a
+holder list, the communities that hold it; a link is held by every
+community that holds both its ends, so no community's links are derived. A
+row walks the nodes and links of its community once and appends each one's
+text to the shared lists of its later holders, so a shared item costs one
+append; a pair's text is one f-string over its two lists. The overlap kind
+and covers_graph come from int bitsets, node and boundary masks with bit
+g.rank[i] for node i. The bytes are those of dumps_report over the document.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 
-from .graph import ROOT, Community, Graph, dot_text, induced_links
+from .graph import ROOT, Community, Graph, dot_text
 from .report import dumps_report
 
 __all__ = [
@@ -117,16 +121,7 @@ def dag_to_dot(dag: PolyhierarchyDag) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _list_text(mask: int, texts: list[str]) -> str:
-    """A pair's shared_nodes or shared_links value: the texts of mask's bits, lowest first."""
-    if not mask:
-        return "[]"
-    pieces = []
-    while mask:
-        low = mask & -mask
-        pieces.append(texts[low.bit_length() - 1])
-        mask ^= low
-    return "[" + ",".join(pieces) + "\n      ]"
+_CLOSE = "\n      ]"  # the end of a non-empty shared list
 
 
 def hierarchy_json(
@@ -139,26 +134,37 @@ def hierarchy_json(
     dumps_report. pairs holds one object per pair (a before b in that
     order): its classify_overlap kind, the shared nodes (sorted_labels) and
     shared links (link_label_pairs) among the nodes on g, and whether the two cover the graph.
+
+    Holder lists (see the module docstring) run in descending community
+    order. Row a walks its nodes in label order and its links in label pair
+    order: it pops itself off the end of each holder list, which leaves the
+    later holders b, and appends the item's text to each b's shared list.
     """
     rank = g.rank
     label = [encode_basestring_ascii(g.labels[i]) for i in g.order]  # by rank
+    k = len(communities)
+    # Holder lists store community b as b - k, its index from the end: in
+    # row a that is also its place among the k - a - 1 shared lists of the
+    # later communities a + 1 .. k - 1.
+    holders = [[] for _ in label]  # by rank
+    for b in range(-1, -k - 1, -1):
+        for i in communities[b].nodes:
+            holders[rank[i]].append(b)
+    node_items = [[] for _ in communities]  # per community, (text, holder list) in output order
+    for text, h in zip(label, holders):
+        item = ("\n        " + text, h)
+        for b in h:
+            node_items[b].append(item)
+    link_items = [[] for _ in communities]
+    for ru, rv in sorted(sorted((rank[u], rank[v])) for u, v in g.link_ends):
+        end = g.order[rv]
+        h = [b for b in holders[ru] if end in communities[b].nodes]
+        item = (f"\n        [\n          {label[ru]},\n          {label[rv]}\n        ]", h)
+        for b in h:
+            link_items[b].append(item)
     node_bits = [1 << r for r in rank]
-    node_text = ["\n        " + text for text in label]
-    ranked_links = sorted(
-        (min(rank[u], rank[v]), max(rank[u], rank[v]), lid) for lid, (u, v) in enumerate(g.link_ends)
-    )
-    link_bits = [0] * g.m
-    link_text = []
-    for pos, (ru, rv, lid) in enumerate(ranked_links):
-        link_bits[lid] = 1 << pos
-        link_text.append(f"\n        [\n          {label[ru]},\n          {label[rv]}\n        ]")
     rows = [
-        (
-            encode_basestring_ascii(name),
-            _mask(node_bits, c.nodes),
-            _mask(node_bits, c.boundary),
-            _mask(link_bits, induced_links(g, c.nodes)),
-        )
+        (encode_basestring_ascii(name), _mask(node_bits, c.nodes), _mask(node_bits, c.boundary))
         for name, c in zip(dag.names[1:], communities)
     ]
     full = (1 << g.n) - 1
@@ -166,16 +172,20 @@ def hierarchy_json(
     head = dumps_report({"edges": dag.edges, "names": dag.names})
     yield head[: -len("\n}\n")] + ',\n  "pairs": '  # "pairs" sorts last, so it goes on the open document
     opened = False
-    for i, (a, na, ba, la) in enumerate(rows):
+    for a, (name_a, na, ba) in enumerate(rows):
+        shared_nodes = [[] for _ in range(k - a - 1)]
+        shared_links = [[] for _ in range(k - a - 1)]
+        for items, shared in ((node_items[a], shared_nodes), (link_items[a], shared_links)):
+            for text, h in items:
+                h.pop()  # a itself, the last holder left; the rest hold it after a
+                for b in h:
+                    shared[b].append(text)
         row = [
-            '{\n      "a": ' + a
-            + ',\n      "b": ' + b
-            + ',\n      "covers_graph": ' + ("true" if na | nb == full else "false")
-            + ',\n      "kind": "' + classify_overlap(na, nb, ba, bb)
-            + '",\n      "shared_links": ' + _list_text(la & lb, link_text)
-            + ',\n      "shared_nodes": ' + _list_text(na & nb, node_text)
-            + "\n    }"
-            for b, nb, bb, lb in rows[i + 1 :]
+            f'{{\n      "a": {name_a},\n      "b": {name_b},\n      "covers_graph": '
+            f'{"true" if na | nb == full else "false"},\n      "kind": "{classify_overlap(na, nb, ba, bb)}",'
+            f'\n      "shared_links": {"[" + ",".join(links) + _CLOSE if links else "[]"},'
+            f'\n      "shared_nodes": {"[" + ",".join(nodes) + _CLOSE if nodes else "[]"}\n    }}'
+            for (name_b, nb, bb), nodes, links in zip(rows[a + 1 :], shared_nodes, shared_links)
         ]
         if row:
             yield (",\n    " if opened else "[\n    ") + ",\n    ".join(row)

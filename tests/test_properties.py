@@ -292,6 +292,19 @@ def test_streamed_hierarchy_json_is_dumps_report_of_the_pairs_document(report):
     assert_streamed_json_is_the_document(report)
 
 
+@pytest.mark.parametrize("make, seed", [(random_connected_graph, 3), (random_weighted_graph, 5)])
+def test_streamed_hierarchy_json_of_a_full_detect_report(make, seed):
+    """Long holder lists, which the drawn reports of at most 7 communities never
+    reach: every pair of a detect report on an n=60 graph (59 and 62
+    communities), byte for byte."""
+    g = make(random.Random(seed), 60, 120)
+    policy = TieBreakPolicy()
+    report = json.loads(dumps_report(build_report(g, run_all_seeds(g, policy), policy, "g.edges")))
+    most_holders = max(sum(label in e["nodes"] for e in report["communities"]) for label in g.labels)
+    assert most_holders > 7
+    assert_streamed_json_is_the_document(report)
+
+
 @pytest.mark.parametrize("count", [0, 1])
 @pytest.mark.parametrize("ground_state", [False, True])
 def test_hierarchy_json_without_pairs(count, ground_state):
