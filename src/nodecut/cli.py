@@ -77,49 +77,66 @@ def _load_graph(args) -> tuple[Graph, str]:
     return g, args.input
 
 
+def _holds(path: str, data: bytes) -> bool:
+    """Whether path is a readable file that holds exactly data."""
+    try:
+        with open(path, "rb") as fh:
+            return os.fstat(fh.fileno()).st_size == len(data) and fh.read() == data
+    except OSError:
+        return False
+
+
 def _write_files(outputs: list[tuple[str, str | Iterable[str]]]):
     """Write every (path, text), or on a failed file write none of them.
 
     The one writer of every file a command outputs: reports, DOT, JSON,
     line graphs and trajectory CSVs. A text is a str or an iterable of str
     chunks, which is written as it is consumed, so a large document need not
-    be held whole. "-" is standard output. A regular
-    file, existing or new, is staged in a temporary file beside it (beside
-    a link's target, so links stay links) that takes the old file's mode,
-    and every target is replaced only once all staging writes have
-    succeeded; when two paths name one file the later text wins (the
-    earlier one is not consumed). Standard
-    output and paths that exist but are not regular files (a device or a
-    pipe) are written last, in order. Files get the text's UTF-8 bytes with
-    no newline translation. A failure ends with error[output] and the
-    message "<path>: <reason>".
+    be held whole. "-" is standard output. Targets are first grouped by
+    real path: when two paths name one file the later text wins (the
+    earlier one is not consumed). A regular file that already holds a str
+    text's bytes is left in place, untouched. Any other regular file,
+    existing, new or unreadable, and any file given an iterable text is
+    staged in a temporary file beside it (beside a link's target, so links
+    stay links) that takes the old file's mode, and every staged target is
+    replaced only once all staging writes have succeeded. Standard output
+    and paths that exist but are not regular files (a device or a pipe) are
+    written last, in order. Files get the text's UTF-8 bytes with no
+    newline translation. A failure ends with error[output] and the message
+    "<path>: <reason>".
     """
     staged = {}  # real target -> (path as given, text)
     direct = []  # (path as given, text)
     for path, text in outputs:
-        if isinstance(text, str):
-            text = (text,)
         if path == "-" or (os.path.exists(path) and not os.path.isfile(path)):
             if os.path.isdir(path):
                 _fail(2, "output", f"{path}: is a directory")
-            direct.append((path, text))
+            direct.append((path, (text,) if isinstance(text, str) else text))
         else:
             staged[os.path.realpath(path)] = (path, text)
-    temps = {}  # real target -> temporary file
+    temps = {}  # real target -> temporary file not yet moved into place
     path = None
     try:
         for target, (path, text) in staged.items():
+            if isinstance(text, str):
+                data = text.encode()
+                if _holds(target, data):
+                    continue
+                chunks = (data,)
+            else:
+                chunks = map(str.encode, text)
             head, tail = os.path.split(target)
             tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             temps[target] = tmp
-            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-                fh.writelines(text)
+            with os.fdopen(fd, "wb") as fh:
+                fh.writelines(chunks)
             if os.path.exists(target):
                 shutil.copymode(target, tmp)
-        for target, tmp in temps.items():
+        for target in list(temps):
             path = staged[target][0]
-            os.replace(tmp, target)
+            os.replace(temps[target], target)
+            del temps[target]
         for path, text in direct:
             if path == "-":
                 sys.stdout.writelines(text)
@@ -130,8 +147,7 @@ def _write_files(outputs: list[tuple[str, str | Iterable[str]]]):
         _fail(2, "output", f"{path}: {exc.strerror or exc}")
     finally:
         for tmp in temps.values():
-            if os.path.exists(tmp):
-                os.remove(tmp)
+            os.remove(tmp)
 
 
 def _checked_communities(g: Graph, path: str):

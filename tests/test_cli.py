@@ -14,7 +14,7 @@ import pytest
 from nodecut import MAX_WEIGHT_RATIO, WEIGHT_RANGE, Community, cli, greedy, karate_graph, load_edge_list, psi
 from nodecut.graph import boundary_nodes
 from nodecut.report import community_entry
-from conftest import KARATE_NODES, OSCILLATING, PATH3, TWO_TRIANGLES, fuzz_graph
+from conftest import KARATE_EDGE_PAIRS, KARATE_NODES, OSCILLATING, PATH3, TWO_TRIANGLES, fuzz_graph
 
 
 def run_cli(args, capsys):
@@ -957,6 +957,164 @@ def test_replaced_output_keeps_its_mode(tmp_path, capsys):
     assert code == 0
     assert json.loads(out.read_text())["communities"]
     assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+
+def _files(directory):
+    """name -> (inode, bytes) of every file in directory."""
+    return {p.name: (p.stat().st_ino, p.read_bytes()) for p in directory.iterdir() if p.is_file()}
+
+
+def _weighted_karate(tmp_path):
+    """Karate with weights 1 and 2, so that --tie-break rng draws and its seed changes the runs."""
+    edges = tmp_path / "wkarate.edges"
+    edges.write_text("".join(f"{u} {v} {1 + (int(u) + int(v)) % 2}\n" for u, v in KARATE_EDGE_PAIRS))
+    return edges
+
+
+def _detect_rng(edges, rng_seed, traj):
+    args = ["detect", str(edges), "--weighted", "--tie-break", "rng", "--rng-seed", str(rng_seed)]
+    return cli.main([*args, "--trajectories", str(traj), "--out", str(traj / "r.json")])
+
+
+def test_detect_rerun_leaves_outputs_that_hold_their_bytes_in_place(tmp_path, capsys):
+    """An identical re-run keeps every file; a run with another seed over old
+    outputs replaces just the files that changed, with the bytes of a run into a fresh directory."""
+    edges = _weighted_karate(tmp_path)
+    traj = tmp_path / "traj"
+    assert _detect_rng(edges, 0, traj) == 0
+    first = _files(traj)
+    assert len(first) == 79  # 78 CSVs and the report
+    assert _detect_rng(edges, 0, traj) == 0
+    assert _files(traj) == first
+    assert _detect_rng(edges, 1, traj) == 0
+    rerun = _files(traj)
+    traj.rename(tmp_path / "rerun")
+    assert _detect_rng(edges, 1, traj) == 0
+    assert {name: data for name, (_, data) in _files(traj).items()} == {name: data for name, (_, data) in rerun.items()}
+    changed = {name for name in first if first[name][1] != rerun[name][1]}
+    assert len(changed) > 1
+    assert {name for name in first if first[name][0] != rerun[name][0]} == changed
+
+
+@pytest.mark.parametrize("edit", ["differs-after-the-first-chunk", "longer", "shorter"])
+def test_hierarchy_json_over_an_old_file_that_differs(karate_report, tmp_path, capsys, edit):
+    """The streamed JSON replaces an old file that shares a prefix with it and
+    differs after the first chunk or in length, and leaves no temporary file."""
+    want = tmp_path / "want.json"
+    assert run_cli(["hierarchy", "--report", str(karate_report), "--json", str(want)], capsys)[0] == 0
+    new = want.read_bytes()
+    first_chunk = new.index(b'"pairs": ') + len(b'"pairs": ')
+    assert len(new) > first_chunk + 3000
+    old = {
+        "differs-after-the-first-chunk": new[:-5] + b"x" + new[-4:],
+        "longer": new + b"\n",
+        "shorter": new[: first_chunk + 2500],
+    }[edit]
+    pairs = tmp_path / "out" / "pairs.json"
+    pairs.parent.mkdir()
+    pairs.write_bytes(old)
+    code, out, _ = run_cli(["hierarchy", "--report", str(karate_report), "--json", str(pairs)], capsys)
+    assert code == 0 and out.startswith("digraph")
+    assert pairs.read_bytes() == new
+    assert [p.name for p in pairs.parent.iterdir()] == ["pairs.json"]
+
+
+@pytest.mark.parametrize("held", ["dot", "json"])
+def test_same_path_twice_keeps_the_later_text_whichever_text_the_file_holds(karate_report, tmp_path, capsys, held):
+    """Paths are grouped by the file they name before any text is compared with
+    it, so an earlier DOT text equal to the file's bytes does not stand for the
+    later JSON text; the JSON is streamed, so the file is always replaced."""
+    both = tmp_path / "out" / "both.txt"
+    both.parent.mkdir()
+    want = tmp_path / "want.json"
+    assert run_cli(["hierarchy", "--report", str(karate_report), "--json", str(want)], capsys)[0] == 0
+    assert run_cli(["hierarchy", "--report", str(karate_report), f"--{held}", str(both)], capsys)[0] == 0
+    ino = both.stat().st_ino
+    code, _, _ = run_cli(
+        ["hierarchy", "--report", str(karate_report), "--dot", str(both), "--json", str(both)], capsys
+    )
+    assert code == 0
+    assert both.read_bytes() == want.read_bytes()
+    assert both.stat().st_ino != ino
+    assert [p.name for p in both.parent.iterdir()] == ["both.txt"]
+
+
+@pytest.mark.parametrize("held", ["csv", "report"])
+def test_detect_out_naming_a_csv_keeps_the_report_whichever_text_the_file_holds(tmp_path, capsys, held):
+    """--out names one of the trajectory CSVs, so the report, given later, wins.
+    Comparing each text with the file before grouping paths would keep a file
+    that holds the report's bytes and then write the CSV over it."""
+    edges = tmp_path / "g.edges"
+    edges.write_text(TWO_TRIANGLES)
+    traj = tmp_path / "traj"
+    args = ["detect", str(edges), "--trajectories", str(traj)]
+    assert run_cli([*args, "--out", str(tmp_path / "r.json")], capsys)[0] == 0
+    report = (tmp_path / "r.json").read_bytes()
+    target = sorted(traj.glob("*.csv"))[0]
+    if held == "report":
+        target.write_bytes(report)
+    ino = target.stat().st_ino
+    assert run_cli([*args, "--out", str(target)], capsys)[0] == 0
+    assert target.read_bytes() == report
+    assert (target.stat().st_ino == ino) == (held == "report")
+    assert not list(traj.glob(".*.tmp"))
+
+
+def test_unreadable_output_is_replaced_and_keeps_its_mode(tmp_path, capsys, monkeypatch):
+    """A file that cannot be read is written anew, even when it holds the new bytes."""
+    edges, report = _two_triangle_report(tmp_path)
+    want = report.read_bytes()
+    report.chmod(0o200)
+    ino = report.stat().st_ino
+
+    def permission_checked_open(path, mode="r", *args, **kwargs):
+        # the refusal a user other than root meets; root may read any file
+        if "r" in mode and not os.stat(path).st_mode & 0o444:
+            raise PermissionError(13, "Permission denied", path)
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", permission_checked_open, raising=False)
+    code, _, _ = run_cli(["detect", str(edges), "--out", str(report)], capsys)
+    assert code == 0
+    assert report.stat().st_ino != ino
+    assert stat.S_IMODE(report.stat().st_mode) == 0o200
+    assert report.read_bytes() == want
+    assert not list(tmp_path.glob(".*.tmp"))
+
+
+@pytest.mark.parametrize("failure", ["last-csv-a-directory", "report-replace-fails"])
+def test_detect_writes_all_or_none_when_some_outputs_already_hold_their_bytes(tmp_path, capsys, monkeypatch, failure):
+    """Every CSV already holds its bytes and the report is stale: a failed write
+    leaves every file as it was, the stale report included, and no temporary file."""
+    edges = _weighted_karate(tmp_path)
+    traj = tmp_path / "traj"
+    assert _detect_rng(edges, 0, traj) == 0
+    report = traj / "r.json"
+    stale = report.read_text().replace('"rng_seed": 0', '"rng_seed": 7')
+    assert stale != report.read_text()
+    report.write_text(stale)
+    if failure == "last-csv-a-directory":
+        blocker = sorted(traj.glob("*.csv"))[-1]
+        blocker.unlink()
+        blocker.mkdir()
+    else:
+        blocker = report
+
+        def refuse(src, dst):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr("nodecut.cli.os.replace", refuse)
+    before = _files(traj)
+    capsys.readouterr()
+    code, out, err = run_cli(
+        ["detect", str(edges), "--weighted", "--tie-break", "rng", "--trajectories", str(traj), "--out", str(report)],
+        capsys,
+    )
+    _assert_one_error(code, err, "output")
+    assert err.startswith(f"nodecut: error[output]: {blocker}: ")
+    assert out == ""
+    assert _files(traj) == before
+    assert not list(traj.glob(".*.tmp"))
 
 
 def test_hierarchy_writes_through_a_symlink(karate_report, tmp_path, capsys):
